@@ -1,0 +1,6 @@
+"""Make ``repro`` importable when pytest runs ``bench/`` from the checkout."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
