@@ -17,8 +17,9 @@ import os
 from pathlib import Path
 
 from repro.data.datasets import Dataset, load_dataset
-from repro.eval.methods import WorkloadContext, build_caching_pipeline
+from repro.eval.methods import WorkloadContext
 from repro.eval.reporting import format_table, write_csv
+from repro.spec import CacheSection, IndexSection, PipelineSpec
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -97,17 +98,16 @@ def get_engine(
     """
     dataset = get_dataset(name, seed=seed)
     context = get_context(name, index_name=index_name, k=k, seed=seed)
-    pipeline = build_caching_pipeline(
-        dataset,
-        method=method,
-        tau=tau,
-        cache_bytes=cache_bytes_for(dataset, cache_fraction),
-        index_name=index_name,
+    pipeline = PipelineSpec(
+        index=IndexSection(name=index_name),
+        cache=CacheSection(
+            method=method,
+            tau=tau,
+            cache_bytes=cache_bytes_for(dataset, cache_fraction),
+        ),
         k=k,
         seed=seed,
-        context=context,
-        metrics=metrics,
-    )
+    ).build(dataset=dataset, context=context, metrics=metrics)
     return dataset, pipeline.engine
 
 

@@ -18,8 +18,8 @@ from common import (
     get_context,
     get_dataset,
 )
-from repro.core.search import CachedKNNSearch
-from repro.eval.methods import make_cache
+from repro.engine import QueryEngine
+from repro.spec.build import make_method_cache
 
 DATASET = "nus-wide-sim"
 FRACTIONS = (0.05, 0.15, 0.3, 0.6)
@@ -30,12 +30,12 @@ def run_experiment():
     context = get_context(DATASET)
     rows = []
     for fraction in FRACTIONS:
-        cache = make_cache(
+        cache = make_method_cache(
             context, "HC-O", tau=DEFAULT_TAU,
             cache_bytes=int(dataset.file_bytes * fraction),
         )
-        lazy = CachedKNNSearch(context.index, context.point_file, cache)
-        eager = CachedKNNSearch(
+        lazy = QueryEngine.for_index(context.index, context.point_file, cache)
+        eager = QueryEngine.for_index(
             context.index, context.point_file, cache, eager_miss_fetch=True
         )
         io_lazy, io_eager, hits = [], [], []

@@ -23,8 +23,8 @@ from common import (
 )
 from repro.core.cache import ApproximateCache
 from repro.core.pq import PQEncoder
-from repro.core.search import CachedKNNSearch
-from repro.eval.methods import make_cache
+from repro.engine import QueryEngine
+from repro.spec.build import make_method_cache
 from repro.eval.runner import summarize
 
 DATASET = "nus-wide-sim"
@@ -37,7 +37,7 @@ def run_experiment():
     rows = []
 
     def measure(cache, label, extra=""):
-        searcher = CachedKNNSearch(context.index, context.point_file, cache)
+        searcher = QueryEngine.for_index(context.index, context.point_file, cache)
         stats = [
             searcher.search(q, DEFAULT_K).stats for q in dataset.query_log.test
         ]
@@ -51,7 +51,7 @@ def run_experiment():
         ])
         return result
 
-    hco = make_cache(context, "HC-O", tau=DEFAULT_TAU, cache_bytes=cache_bytes)
+    hco = make_method_cache(context, "HC-O", tau=DEFAULT_TAU, cache_bytes=cache_bytes)
     measure(hco, "HC-O", f"{DEFAULT_TAU * dataset.dim} bits/pt")
 
     # The subspace-width spectrum: from coarse blocks (classic PQ) down

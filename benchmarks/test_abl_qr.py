@@ -20,7 +20,7 @@ from common import (
 from repro.core.builders import build_knn_optimal
 from repro.core.cache import ApproximateCache
 from repro.core.encoder import GlobalHistogramEncoder
-from repro.core.search import CachedKNNSearch
+from repro.engine import QueryEngine
 from repro.eval.runner import summarize
 
 DATASET = "sogou-sim"
@@ -46,7 +46,7 @@ def _measure(context, fprime, label):
         encoder, cache_bytes_for(dataset), dataset.num_points
     )
     cache.populate_hff(context.frequencies, dataset.points)
-    searcher = CachedKNNSearch(context.index, context.point_file, cache)
+    searcher = QueryEngine.for_index(context.index, context.point_file, cache)
     stats = [
         searcher.search(q, DEFAULT_K).stats for q in dataset.query_log.test
     ]

@@ -22,8 +22,8 @@ from common import (
 )
 from repro.core.cache import NoCache
 from repro.core.resultcache import ResultCache, ResultCachedSearch
-from repro.core.search import CachedKNNSearch
-from repro.eval.methods import make_cache
+from repro.engine import QueryEngine
+from repro.spec.build import make_method_cache
 
 DATASET = "nus-wide-sim"
 
@@ -34,13 +34,13 @@ def run_experiment():
     cache_bytes = cache_bytes_for(dataset)
 
     # Point cache (HC-O).
-    point_cache = make_cache(context, "HC-O", tau=DEFAULT_TAU, cache_bytes=cache_bytes)
-    pc_search = CachedKNNSearch(context.index, context.point_file, point_cache)
+    point_cache = make_method_cache(context, "HC-O", tau=DEFAULT_TAU, cache_bytes=cache_bytes)
+    pc_search = QueryEngine.for_index(context.index, context.point_file, point_cache)
 
     # Result cache warmed on the workload (same budget).
     rc = ResultCache(cache_bytes, dataset.dim)
     rc_search = ResultCachedSearch(
-        CachedKNNSearch(context.index, context.point_file, NoCache()), rc
+        QueryEngine.for_index(context.index, context.point_file, NoCache()), rc
     )
     rng = np.random.default_rng(3)
     # Warm the result cache on every distinct workload query.

@@ -11,8 +11,9 @@ import numpy as np
 
 from common import DEFAULT_K, DEFAULT_TAU, cache_bytes_for, emit, get_dataset
 from repro.data.workload import generate_query_log
-from repro.eval.methods import WorkloadContext, build_caching_pipeline
+from repro.eval.methods import WorkloadContext
 from repro.eval.runner import summarize
+from repro.spec import CacheSection, PipelineSpec
 
 ZIPF_VALUES = (0.0, 0.6, 1.1, 1.6)
 
@@ -28,10 +29,12 @@ def run_experiment():
         )
         dataset = base.with_query_log(log)
         context = WorkloadContext.prepare(dataset, k=DEFAULT_K, seed=0)
-        pipeline = build_caching_pipeline(
-            dataset, method="HC-O", tau=DEFAULT_TAU,
-            cache_bytes=cache_bytes_for(dataset), k=DEFAULT_K, context=context,
-        )
+        pipeline = PipelineSpec(
+            cache=CacheSection(
+                method="HC-O", tau=DEFAULT_TAU, cache_bytes=cache_bytes_for(dataset)
+            ),
+            k=DEFAULT_K,
+        ).build(dataset=dataset, context=context)
         stats = [pipeline.search(q, DEFAULT_K).stats for q in log.test]
         result = summarize(
             stats, "HC-O", DEFAULT_TAU, 0, DEFAULT_K,

@@ -28,8 +28,8 @@ import numpy as np
 
 from common import DEFAULT_K, DEFAULT_TAU, RESULTS_DIR, cache_bytes_for, get_dataset
 from repro.data.workload import generate_query_log
-from repro.eval.methods import build_caching_pipeline
 from repro.mutate import MutablePipeline, reference_twin
+from repro.spec import CacheSection, IndexSection, PipelineSpec
 
 #: Small cache (5% of the file) so patching has real work to do.
 CHURN_CACHE_FRACTION = 0.05
@@ -48,10 +48,14 @@ def make_pipeline(dataset, cache_bytes):
     # VA-file: exact candidate generation, so recall under churn is a
     # pure measure of mutation correctness (an LSH cell would fold its
     # own approximation into the floor).
-    inner = build_caching_pipeline(
-        dataset, method="HC-O", tau=DEFAULT_TAU, cache_bytes=cache_bytes,
-        index_name="vafile", k=DEFAULT_K, seed=0,
-    )
+    inner = PipelineSpec(
+        index=IndexSection(name="vafile"),
+        cache=CacheSection(
+            method="HC-O", tau=DEFAULT_TAU, cache_bytes=cache_bytes
+        ),
+        k=DEFAULT_K,
+        seed=0,
+    ).build(dataset=dataset)
     return MutablePipeline(
         inner, workload=dataset.query_log.workload[:WORKLOAD]
     )

@@ -25,8 +25,8 @@ import numpy as np
 
 from common import DEFAULT_K, DEFAULT_TAU, RESULTS_DIR, cache_bytes_for, get_dataset
 from repro.data.workload import generate_query_log
-from repro.eval.methods import build_caching_pipeline
 from repro.obs import MetricsRegistry, drift_comparison
+from repro.spec import CacheSection, PipelineSpec
 from repro.workload import DriftController, EveryNQueries, TrainSpec, WindowWorkload
 
 #: Small enough that the cache cannot hold every candidate (at the
@@ -76,14 +76,18 @@ def run_drift() -> dict:
     cache_bytes = cache_bytes_for(dataset, fraction=DRIFT_CACHE_FRACTION)
 
     registry = MetricsRegistry()
-    adaptive = build_caching_pipeline(
-        dataset, method="HC-O", tau=DEFAULT_TAU, cache_bytes=cache_bytes,
-        k=DEFAULT_K, metrics=registry,
-    )
-    control = build_caching_pipeline(
-        dataset, method="HC-O", tau=DEFAULT_TAU, cache_bytes=cache_bytes,
-        k=DEFAULT_K, context=adaptive.context,
-    )
+    adaptive = PipelineSpec(
+        cache=CacheSection(
+            method="HC-O", tau=DEFAULT_TAU, cache_bytes=cache_bytes
+        ),
+        k=DEFAULT_K,
+    ).build(dataset=dataset, metrics=registry)
+    control = PipelineSpec(
+        cache=CacheSection(
+            method="HC-O", tau=DEFAULT_TAU, cache_bytes=cache_bytes
+        ),
+        k=DEFAULT_K,
+    ).build(dataset=dataset, context=adaptive.context)
     context = adaptive.context
     controller = DriftController(
         WindowWorkload(capacity=WINDOW),
@@ -143,10 +147,12 @@ def run_drift() -> dict:
 
     # From-scratch oracle: a cache trained only on the post-shift
     # workload, serving the same tail queries the adaptive engine saw.
-    oracle = build_caching_pipeline(
-        base.with_query_log(log_b), method="HC-O", tau=DEFAULT_TAU,
-        cache_bytes=cache_bytes, k=DEFAULT_K,
-    )
+    oracle = PipelineSpec(
+        cache=CacheSection(
+            method="HC-O", tau=DEFAULT_TAU, cache_bytes=cache_bytes
+        ),
+        k=DEFAULT_K,
+    ).build(dataset=base.with_query_log(log_b))
     tail = log_b.workload[-2 * BUCKET:]
     oracle_hit = float(np.mean(
         [oracle.search(q, DEFAULT_K).stats.hit_ratio for q in tail]

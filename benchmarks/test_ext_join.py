@@ -15,8 +15,8 @@ from common import (
     get_context,
     get_dataset,
 )
-from repro.core.search import CachedKNNSearch
-from repro.eval.methods import make_cache
+from repro.engine import QueryEngine
+from repro.spec.build import make_method_cache
 from repro.extensions.join import knn_join
 
 DATASET = "nus-wide-sim"
@@ -33,10 +33,10 @@ def run_experiment():
     rows = []
     results = {}
     for method in ("NO-CACHE", "EXACT", "HC-O"):
-        cache = make_cache(
+        cache = make_method_cache(
             context, method, tau=DEFAULT_TAU, cache_bytes=cache_bytes_for(dataset)
         )
-        searcher = CachedKNNSearch(context.index, context.point_file, cache)
+        searcher = QueryEngine.for_index(context.index, context.point_file, cache)
         join = knn_join(queries, searcher, DEFAULT_K)
         rows.append(
             [method, join.total_page_reads, round(join.avg_page_reads, 1)]

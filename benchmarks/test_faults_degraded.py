@@ -24,10 +24,10 @@ from common import (
     get_dataset,
     emit,
 )
-from repro.eval.methods import build_caching_pipeline
 from repro.faults import FaultSpec, ResiliencePolicy, RetryPolicy
 from repro.faults.disk import FaultyDisk
 from repro.obs.registry import MetricsRegistry
+from repro.spec import CacheSection, PipelineSpec
 
 DATASET = "nus-wide-sim"
 #: Cache fraction small enough that refinement actually touches disk.
@@ -43,11 +43,15 @@ def setup():
     dataset = get_dataset(DATASET)
     context = get_context(DATASET)
     registry = MetricsRegistry()
-    pipeline = build_caching_pipeline(
-        dataset, method="HC-O", tau=DEFAULT_TAU,
-        cache_bytes=cache_bytes_for(dataset, CACHE_FRACTION),
-        k=DEFAULT_K, context=context, metrics=registry,
-        resilience=POLICY,
+    pipeline = PipelineSpec(
+        cache=CacheSection(
+            method="HC-O",
+            tau=DEFAULT_TAU,
+            cache_bytes=cache_bytes_for(dataset, CACHE_FRACTION),
+        ),
+        k=DEFAULT_K,
+    ).build(
+        dataset=dataset, context=context, metrics=registry, resilience=POLICY
     )
     return dataset, pipeline, registry
 

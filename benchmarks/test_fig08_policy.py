@@ -8,8 +8,8 @@ every k.
 
 from common import cache_bytes_for, emit, get_context, get_dataset
 from repro.core.cache import CachePolicy
-from repro.eval.methods import build_caching_pipeline
 from repro.eval.runner import summarize
+from repro.spec import CacheSection, PipelineSpec
 
 K_VALUES = (1, 20, 40, 60, 80, 100)
 WARM_QUERIES = 300
@@ -18,13 +18,13 @@ WARM_QUERIES = 300
 def _measure(policy: CachePolicy, k: int):
     dataset = get_dataset("sogou-sim")
     context = get_context("sogou-sim", k=k)
-    pipeline = build_caching_pipeline(
-        dataset,
+    cache = CacheSection(
         method="EXACT",
         cache_bytes=cache_bytes_for(dataset),
-        k=k,
-        policy=policy,
-        context=context,
+        policy="lru" if policy is CachePolicy.LRU else "hff",
+    )
+    pipeline = PipelineSpec(cache=cache, k=k).build(
+        dataset=dataset, context=context
     )
     if policy is CachePolicy.LRU:
         for query in dataset.query_log.workload[:WARM_QUERIES]:

@@ -15,8 +15,8 @@ from common import (
     get_context,
     get_dataset,
 )
-from repro.eval.methods import build_caching_pipeline, build_tree_pipeline
 from repro.eval.runner import Experiment
+from repro.spec import CacheSection, IndexSection, PipelineSpec
 
 DATASET = "imgnet-sim"
 K_VALUES = (1, 10, 50, 100)
@@ -25,15 +25,13 @@ READ_LATENCY = 5e-3
 
 
 def _tree_times(index_name, method, dataset, context, k_values):
-    pipeline = build_tree_pipeline(
-        dataset,
-        index_name,
-        method,
-        tau=DEFAULT_TAU,
-        cache_bytes=cache_bytes_for(dataset),
+    pipeline = PipelineSpec(
+        index=IndexSection(name=index_name),
+        cache=CacheSection(
+            method=method, tau=DEFAULT_TAU, cache_bytes=cache_bytes_for(dataset)
+        ),
         k=DEFAULT_K,
-        context=context,
-    )
+    ).build(dataset=dataset, context=context)
     times = {}
     for k in k_values:
         reads = [

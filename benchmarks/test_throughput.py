@@ -23,9 +23,9 @@ from common import (
     get_dataset,
     get_engine,
 )
-from repro.eval.methods import build_caching_pipeline
 from repro.obs.registry import MetricsRegistry
 from repro.shard import ShardedEngine, build_shard_specs
+from repro.spec import CacheSection, PipelineSpec
 from repro.storage.disk import DiskConfig
 
 DATASET = "nus-wide-sim"
@@ -37,10 +37,12 @@ def pipelines():
     context = get_context(DATASET)
     out = {}
     for method in ("NO-CACHE", "EXACT", "HC-O"):
-        out[method] = build_caching_pipeline(
-            dataset, method=method, tau=DEFAULT_TAU,
-            cache_bytes=cache_bytes_for(dataset), k=DEFAULT_K, context=context,
-        )
+        out[method] = PipelineSpec(
+            cache=CacheSection(
+                method=method, tau=DEFAULT_TAU, cache_bytes=cache_bytes_for(dataset)
+            ),
+            k=DEFAULT_K,
+        ).build(dataset=dataset, context=context)
     return dataset, out
 
 

@@ -14,7 +14,8 @@ import numpy as np
 
 from repro import load_dataset
 from repro.core.cost_model import optimal_tau
-from repro.eval.methods import WorkloadContext, build_caching_pipeline
+from repro.eval.methods import WorkloadContext
+from repro.spec import CacheSection, PipelineSpec
 
 SEED = 1
 K = 10
@@ -22,10 +23,10 @@ TAUS = range(4, 13)
 
 
 def measured_io(dataset, context, tau: int, cache_bytes: int) -> float:
-    pipeline = build_caching_pipeline(
-        dataset, method="HC-W", tau=tau, cache_bytes=cache_bytes,
-        k=K, context=context,
-    )
+    pipeline = PipelineSpec(
+        cache=CacheSection(method="HC-W", tau=tau, cache_bytes=cache_bytes),
+        k=K,
+    ).build(dataset=dataset, context=context)
     reads = [
         pipeline.search(q, K).stats.refine_page_reads
         for q in dataset.query_log.test

@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro import load_dataset
-from repro.eval.methods import build_tree_pipeline
 from repro.index.linear_scan import exact_knn
+from repro.spec import CacheSection, IndexSection, PipelineSpec
 
 SEED = 5
 K = 10
@@ -33,10 +33,14 @@ def main() -> None:
     for index_name in ("idistance", "vptree"):
         print(f"\n=== {index_name} ===")
         pipelines = {
-            method: build_tree_pipeline(
-                dataset, index_name, method, tau=TAU,
-                cache_bytes=cache_bytes, k=K, seed=SEED,
-            )
+            method: PipelineSpec(
+                index=IndexSection(name=index_name),
+                cache=CacheSection(
+                    method=method, tau=TAU, cache_bytes=cache_bytes
+                ),
+                k=K,
+                seed=SEED,
+            ).build(dataset=dataset)
             for method in ("NO-CACHE", "EXACT", "HC-O")
         }
         for method, pipeline in pipelines.items():

@@ -20,7 +20,8 @@ import numpy as np
 
 from repro import load_dataset
 from repro.core.cost_model import optimal_tau
-from repro.eval.methods import WorkloadContext, build_caching_pipeline
+from repro.eval.methods import WorkloadContext
+from repro.spec import CacheSection, PipelineSpec
 
 SEED = 3
 K = 10
@@ -54,10 +55,12 @@ def main() -> None:
 
     latency = {}
     for method in ("EXACT", "HC-O"):
-        pipeline = build_caching_pipeline(
-            dataset, method=method, tau=tau_star, cache_bytes=ram_budget,
-            k=K, context=context,
-        )
+        pipeline = PipelineSpec(
+            cache=CacheSection(
+                method=method, tau=tau_star, cache_bytes=ram_budget
+            ),
+            k=K,
+        ).build(dataset=dataset, context=context)
         per_query_ms = []
         for query in dataset.query_log.test:
             stats = pipeline.search(query, K).stats

@@ -16,27 +16,27 @@ from __future__ import annotations
 import numpy as np
 
 from repro import load_dataset
-from repro.core.maintenance import CacheMaintainer, SlidingWindowWorkload
 from repro.core.resultcache import ResultCache, ResultCachedSearch
-from repro.core.search import CachedKNNSearch
 from repro.data.workload import generate_query_log
+from repro.engine import QueryEngine
 from repro.lsh.c2lsh import C2LSHIndex
 from repro.storage.pointfile import PointFile
+from repro.workload import DriftController, TrainSpec, WindowWorkload
 
 SEED = 21
 K = 10
 TAU = 8
 
 
-def serve_phase(label, queries, maintainer, index, point_file, result_cache):
+def serve_phase(label, queries, controller, index, point_file, result_cache):
     """Serve a batch of queries through result cache -> point cache."""
-    searcher = CachedKNNSearch(index, point_file, maintainer.cache)
-    wrapped = ResultCachedSearch(searcher, result_cache)
+    engine = QueryEngine.for_index(index, point_file, controller.cache)
+    wrapped = ResultCachedSearch(engine, result_cache)
     reads = []
     for query in queries:
         result = wrapped.search(query, K)
         reads.append(result.stats.refine_page_reads)
-        maintainer.observe(query)
+        controller.observe(query)
     print(
         f"  {label:18s} avg refine pages/query = {np.mean(reads):6.1f}  "
         f"(result-cache hits so far: {result_cache.stats().hits})"
@@ -52,20 +52,23 @@ def main() -> None:
     print(f"corpus {dataset.num_points} x {dataset.dim}; "
           f"cache budget {cache_bytes >> 10} KB\n")
 
-    maintainer = CacheMaintainer(
-        index, dataset.points, k=K, tau=TAU, cache_bytes=cache_bytes,
-        window=SlidingWindowWorkload(capacity=400),
+    controller = DriftController(
+        WindowWorkload(capacity=400),
+        TrainSpec(
+            points=dataset.points, index=index, k=K, method="HC-O", tau=TAU,
+            cache_bytes=cache_bytes,
+        ),
     )
     result_cache = ResultCache(cache_bytes // 8, dataset.dim)
 
     # Day 1: warm up on the historical log, build the first cache.
     for query in dataset.query_log.workload[:400]:
-        maintainer.observe(query)
-    report = maintainer.rebuild()
+        controller.observe(query)
+    report = controller.retrain()
     print(f"initial rebuild: {report.cache_items} cached points, "
           f"{report.histogram_buckets} histogram buckets")
     day1 = serve_phase("day 1 traffic", dataset.query_log.test,
-                       maintainer, index, point_file, result_cache)
+                       controller, index, point_file, result_cache)
 
     # Day 2: the popular queries drift to a new pool.
     drifted = generate_query_log(
@@ -73,13 +76,13 @@ def main() -> None:
         zipf_s=1.2, seed=SEED + 100,
     )
     stale = serve_phase("day 2 (stale cache)", drifted.test,
-                        maintainer, index, point_file,
+                        controller, index, point_file,
                         ResultCache(cache_bytes // 8, dataset.dim))
     for query in drifted.workload:
-        maintainer.observe(query)
-    maintainer.rebuild()
+        controller.observe(query)
+    controller.retrain()
     fresh = serve_phase("day 2 (rebuilt)", drifted.test,
-                        maintainer, index, point_file,
+                        controller, index, point_file,
                         ResultCache(cache_bytes // 8, dataset.dim))
 
     print(f"\nrebuild recovered "

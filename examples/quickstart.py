@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import build_caching_pipeline, load_dataset
+from repro import PipelineSpec, load_dataset
 from repro.eval.methods import WorkloadContext
+from repro.spec import CacheSection
 
 SEED = 7
 K = 10
@@ -35,10 +36,10 @@ def main() -> None:
 
     # 3. Assemble pipelines: no cache, exact cache, HC-O histogram cache.
     pipelines = {
-        name: build_caching_pipeline(
-            dataset, method=name, tau=TAU, cache_bytes=cache_bytes,
-            k=K, context=context,
-        )
+        name: PipelineSpec(
+            cache=CacheSection(method=name, tau=TAU, cache_bytes=cache_bytes),
+            k=K,
+        ).build(dataset=dataset, context=context)
         for name in ("NO-CACHE", "EXACT", "HC-O")
     }
 

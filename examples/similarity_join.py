@@ -20,7 +20,7 @@ from repro.core.builders import build_knn_optimal
 from repro.core.cache import ApproximateCache, NoCache
 from repro.core.encoder import GlobalHistogramEncoder
 from repro.core.frequency import compute_qr, fprime_global
-from repro.core.search import CachedKNNSearch
+from repro.engine import QueryEngine
 from repro.data.synthetic import clustered_dataset
 from repro.extensions.clustering import dbscan
 from repro.extensions.join import knn_self_join
@@ -52,10 +52,10 @@ def main() -> None:
 
     print("\n-- kNN self-join (near-duplicate detection) --")
     cached_join = knn_self_join(
-        CachedKNNSearch(index, PointFile(points), cache), K
+        QueryEngine.for_index(index, PointFile(points), cache), K
     )
     plain_join = knn_self_join(
-        CachedKNNSearch(index, PointFile(points), NoCache()), K
+        QueryEngine.for_index(index, PointFile(points), NoCache()), K
     )
     assert np.array_equal(
         np.sort(cached_join.ids, axis=1), np.sort(plain_join.ids, axis=1)

@@ -15,11 +15,13 @@ figure of the paper's evaluation.
 
 Quickstart::
 
-    from repro import load_dataset, build_caching_pipeline
+    from repro import PipelineSpec, load_dataset
+    from repro.spec import CacheSection
 
     dataset = load_dataset("tiny", seed=0)
-    pipeline = build_caching_pipeline(dataset, method="HC-O", tau=6,
-                                      cache_bytes=1 << 16, seed=0)
+    spec = PipelineSpec(cache=CacheSection(method="HC-O", tau=6,
+                                           cache_bytes=1 << 16))
+    pipeline = spec.build(dataset=dataset)
     result = pipeline.search(dataset.query_log.test[0], k=10)
     print(result.ids, result.stats.page_reads)
 """
@@ -33,7 +35,6 @@ __version__ = "1.0.0"
 _EXPORTS = {
     "ApproximateCache": "repro.core.cache",
     "CachePolicy": "repro.core.cache",
-    "CachedKNNSearch": "repro.core.search",
     "CostModel": "repro.core.cost_model",
     "Dataset": "repro.data.datasets",
     "ExactCache": "repro.core.cache",
@@ -41,9 +42,9 @@ _EXPORTS = {
     "ExperimentResult": "repro.eval.runner",
     "FormatVersionError": "repro.artifacts.errors",
     "Histogram": "repro.core.histogram",
+    "Pipeline": "repro.spec.build",
     "PipelineSpec": "repro.spec.sections",
-    "SearchResult": "repro.core.search",
-    "build_caching_pipeline": "repro.eval.methods",
+    "SearchResult": "repro.engine.stats",
     "inspect_snapshot": "repro.artifacts.snapshot",
     "load_dataset": "repro.data.datasets",
     "load_snapshot": "repro.artifacts.snapshot",

@@ -14,8 +14,8 @@ Layers:
 * :mod:`repro.artifacts.churn` — versioned per-shard mutation deltas,
   published through the same publish-then-swap protocol and merged back
   at snapshot rebuild.
-* :mod:`repro.artifacts.legacy` — the single-file ``.npz`` format behind
-  ``repro.persist``.
+* :mod:`repro.artifacts.legacy` — the single-file ``.npz`` dataset
+  format (``save_dataset`` / ``load_dataset_file``).
 """
 
 from repro.artifacts.churn import (
@@ -27,7 +27,6 @@ from repro.artifacts.churn import (
 from repro.artifacts.errors import ArtifactError, FormatVersionError
 from repro.artifacts.snapshot import (
     SNAPSHOT_FORMAT_VERSION,
-    ServingContext,
     inspect_snapshot,
     load_cache_snapshot,
     load_queries,
@@ -55,7 +54,6 @@ __all__ = [
     "publish_churn_delta",
     "ObjectStore",
     "SNAPSHOT_FORMAT_VERSION",
-    "ServingContext",
     "inspect_snapshot",
     "load_cache_snapshot",
     "load_queries",

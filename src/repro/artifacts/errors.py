@@ -15,7 +15,7 @@ class FormatVersionError(ValueError):
     skew* (rebuild the artifact with the current code) apart from
     *corruption* (the bytes are damaged).  Subclasses ``ValueError`` for
     backward compatibility with callers that caught the historical bare
-    ``ValueError`` raised by ``repro.persist``.
+    ``ValueError`` raised by the ``.npz`` dataset loader.
 
     Attributes:
         found: the version present in the file (None when missing).

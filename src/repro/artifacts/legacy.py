@@ -1,12 +1,10 @@
-"""Single-file ``.npz`` persistence for histograms, encoders, datasets.
+"""Single-file ``.npz`` persistence for datasets.
 
 The original (pre-snapshot) artifact format: one compressed archive per
-object.  Kept for datasets and standalone histogram/encoder exchange;
-full pipelines are persisted by :mod:`repro.artifacts.snapshot`, whose
-members stay memory-mappable (``.npz`` members are not).
-
-``repro.persist`` re-exports everything here, so existing callers keep
-working unchanged.
+dataset, which ``DatasetSection.path`` names so a spec can rebuild
+without regenerating synthetic data.  Pipelines, encoders and caches
+are persisted by :mod:`repro.artifacts.snapshot`, whose members stay
+memory-mappable (``.npz`` members are not).
 """
 
 from __future__ import annotations
@@ -16,86 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.artifacts.errors import FormatVersionError
-from repro.core.encoder import (
-    GlobalHistogramEncoder,
-    IndividualHistogramEncoder,
-    PointEncoder,
-)
-from repro.core.histogram import Histogram
 from repro.data.datasets import Dataset
 from repro.data.workload import QueryLog
 
 _FORMAT_VERSION = 1
-
-
-def save_histogram(path: str | Path, histogram: Histogram) -> Path:
-    """Write a histogram's bucket table to ``path`` (.npz)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "version": np.asarray([_FORMAT_VERSION]),
-        "lowers": histogram.lowers,
-        "uppers": histogram.uppers,
-    }
-    if histogram.frequencies is not None:
-        payload["frequencies"] = histogram.frequencies
-    np.savez_compressed(path, **payload)
-    return path
-
-
-def load_histogram(path: str | Path) -> Histogram:
-    """Read a histogram written by ``save_histogram``."""
-    path = Path(path)
-    with np.load(path) as data:
-        _check_version(data, path)
-        freqs = data["frequencies"] if "frequencies" in data else None
-        return Histogram(data["lowers"], data["uppers"], freqs)
-
-
-def save_encoder(path: str | Path, encoder: PointEncoder) -> Path:
-    """Write a global or per-dimension histogram encoder to ``path``."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if isinstance(encoder, GlobalHistogramEncoder):
-        payload = {
-            "version": np.asarray([_FORMAT_VERSION]),
-            "kind": np.asarray(["global"]),
-            "dim": np.asarray([encoder.dim]),
-            "lowers_0": encoder.histogram.lowers,
-            "uppers_0": encoder.histogram.uppers,
-        }
-    elif isinstance(encoder, IndividualHistogramEncoder):
-        payload = {
-            "version": np.asarray([_FORMAT_VERSION]),
-            "kind": np.asarray(["individual"]),
-            "dim": np.asarray([encoder.dim]),
-        }
-        for j, hist in enumerate(encoder.histograms):
-            payload[f"lowers_{j}"] = hist.lowers
-            payload[f"uppers_{j}"] = hist.uppers
-    else:
-        raise TypeError(f"cannot persist encoder type {type(encoder).__name__}")
-    np.savez_compressed(path, **payload)
-    return path
-
-
-def load_encoder(path: str | Path) -> PointEncoder:
-    """Read an encoder written by ``save_encoder``."""
-    path = Path(path)
-    with np.load(path, allow_pickle=False) as data:
-        _check_version(data, path)
-        kind = str(data["kind"][0])
-        dim = int(data["dim"][0])
-        if kind == "global":
-            hist = Histogram(data["lowers_0"], data["uppers_0"])
-            return GlobalHistogramEncoder(hist, dim)
-        if kind == "individual":
-            hists = [
-                Histogram(data[f"lowers_{j}"], data[f"uppers_{j}"])
-                for j in range(dim)
-            ]
-            return IndividualHistogramEncoder(hists)
-    raise ValueError(f"unknown encoder kind {kind!r}")
 
 
 def save_dataset(path: str | Path, dataset: Dataset) -> Path:

@@ -15,14 +15,13 @@ tables through the page cache.  A loaded pipeline is bit-identical to
 the freshly built one — same ids, same distances, same page reads.
 
 ``save_cache_snapshot``/``load_cache_snapshot`` persist just a cache
-(the daily-rebuild artifact of :class:`repro.core.maintenance.
-CacheMaintainer`), published atomically under a ``CURRENT`` pointer for
-hot swap under live traffic.
+(the retrain artifact of :class:`repro.workload.DriftController`),
+published atomically under a ``CURRENT`` pointer for hot swap under live
+traffic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,30 +38,14 @@ from repro.artifacts.store import (
     read_manifest,
     write_manifest,
 )
+from repro.engine.engine import QueryEngine
+from repro.spec.build import Pipeline, build_pipeline, resolve_dataset
+from repro.spec.sections import PipelineSpec
+from repro.storage.disk import DiskConfig, SimulatedDisk
+from repro.storage.pointfile import PointFile
 
 #: Manifest schema version; bump on any incompatible layout change.
 SNAPSHOT_FORMAT_VERSION = 1
-
-
-@dataclass
-class ServingContext:
-    """The slice of ``WorkloadContext`` a serving process needs.
-
-    Snapshot-loaded pipelines have no workload derivations (candidate
-    sets, frequencies, QR multiset) — those were consumed at build time —
-    so this lightweight stand-in carries only what query execution
-    touches: the index, the point file and the default ``k``.
-    """
-
-    index: object
-    point_file: object
-    k: int
-    seed: int = 0
-    dataset: object = None
-
-
-def _spec_of(pipeline) -> object | None:
-    return getattr(pipeline, "spec", None)
 
 
 def _disk_manifest(config) -> dict:
@@ -83,52 +66,45 @@ def save_snapshot(
     queries: np.ndarray | None = None,
     metrics=None,
 ) -> Path:
-    """Persist a built pipeline as a self-contained snapshot directory.
+    """Persist a built :class:`~repro.spec.build.Pipeline` as a snapshot.
 
-    Works for both ``CachingPipeline`` (candidate-path indexes) and
-    ``TreePipeline``.  ``queries`` (default: the dataset's held-out test
-    queries, when the pipeline still carries its dataset) are stored
-    alongside so differential verification needs nothing external.  The
-    manifest is written last, so a directory with a manifest is always a
-    complete snapshot.
+    ``queries`` (default: the dataset's held-out test queries, when the
+    pipeline still carries its workload context) are stored alongside so
+    differential verification needs nothing external.  The manifest is
+    written last, so a directory with a manifest is always a complete
+    snapshot.
     """
     path = Path(path)
     store = ObjectStore(path)
-    spec = _spec_of(pipeline)
+    spec = pipeline.spec
     spec_dict = spec.to_dict() if spec is not None else None
     index_name = spec.index.name if spec is not None else None
     index_params = dict(spec.index.params) if spec is not None else None
     seed = spec.seed if spec is not None else 0
-
-    if hasattr(pipeline, "searcher"):  # CachingPipeline
-        ctx = pipeline.context
-        point_file = ctx.point_file
-        value_bytes = point_file.value_bytes
-        kind = "point"
-        k = int(ctx.k)
-        tau = pipeline.tau
-        disk = _disk_manifest(point_file.disk.config)
-        points = np.ascontiguousarray(point_file.points, dtype=np.float64)
-        order = point_file._order
-        index = ctx.index
-        cache = pipeline.cache
-        if queries is None and getattr(ctx.dataset, "query_log", None) is not None:
-            queries = ctx.dataset.query_log.test
-    else:  # TreePipeline
+    index = pipeline.index
+    cache = pipeline.cache
+    point_file = pipeline.point_file
+    if pipeline.engine.is_tree:
         kind = "tree"
-        k = int(spec.k) if spec is not None else 10
-        tau = spec.cache.tau if spec is not None else None
-        index = pipeline.index
         value_bytes = int(getattr(index, "value_bytes", 4))
         disk = {
             "page_size": int(getattr(index, "page_size", 4096)),
             "read_latency_s": float(pipeline.read_latency_s),
-            "seq_read_latency_s": float(pipeline.read_latency_s),
+            "seq_read_latency_s": float(pipeline.seq_read_latency_s),
             "blocking": False,
         }
         points = np.ascontiguousarray(index.points, dtype=np.float64)
         order = np.arange(len(points), dtype=np.int64)
-        cache = pipeline.cache
+    else:
+        kind = "point"
+        value_bytes = point_file.value_bytes
+        disk = _disk_manifest(point_file.disk.config)
+        points = np.ascontiguousarray(point_file.points, dtype=np.float64)
+        order = point_file._order
+    context = pipeline.context
+    if queries is None and context is not None:
+        if context.dataset.query_log is not None:
+            queries = context.dataset.query_log.test
 
     idx_meta, idx_arrays = index_state(
         index,
@@ -143,8 +119,8 @@ def save_snapshot(
         "format_version": SNAPSHOT_FORMAT_VERSION,
         "kind": kind,
         "method": pipeline.method,
-        "tau": None if tau is None else int(tau),
-        "k": k,
+        "tau": None if pipeline.tau is None else int(pipeline.tau),
+        "k": int(pipeline.k),
         "value_bytes": int(value_bytes),
         "spec": spec_dict,
         "disk": disk,
@@ -200,12 +176,12 @@ def load_snapshot(
     metrics=None,
     resilience=None,
 ):
-    """Open a snapshot as a ready-to-query pipeline (zero-copy by default).
+    """Open a snapshot as a ready-to-query :class:`~repro.spec.build.Pipeline`.
 
-    With ``mmap=True`` every member is a read-only memory map: points,
-    index tables and HFF cache codes are served straight from the page
-    cache (shared across processes); only LRU caches get private writable
-    copies.  ``metrics``/``resilience`` wire the live observability and
+    With ``mmap=True`` (the default) every member is a read-only memory
+    map: points, index tables and HFF cache codes are served straight
+    from the page cache (shared across processes); only LRU caches get
+    private writable copies.  ``metrics``/``resilience`` wire the live observability and
     fault-handling objects into the served engine.
     """
     path = Path(path)
@@ -224,8 +200,6 @@ def load_snapshot(
     )
     spec = None
     if manifest.get("spec") is not None:
-        from repro.spec.sections import PipelineSpec
-
         spec = PipelineSpec.from_dict(manifest["spec"])
 
     if metrics is not None:
@@ -234,42 +208,19 @@ def load_snapshot(
         ).inc()
 
     if manifest["kind"] == "tree":
-        from repro.eval.methods import TreePipeline
-
-        return TreePipeline(
-            index=index,
-            cache=cache,
-            method=manifest["method"],
-            read_latency_s=manifest["disk"]["read_latency_s"],
-            metrics=metrics,
-            spec=spec,
+        engine = QueryEngine.for_tree(index, cache, metrics=metrics)
+    else:
+        point_file = PointFile(
+            points,
+            disk=SimulatedDisk(DiskConfig(**manifest["disk"])),
+            order=store.load(manifest["points"]["order"], mmap=mmap),
+            value_bytes=int(manifest["value_bytes"]),
         )
-
-    from repro.core.search import CachedKNNSearch
-    from repro.eval.methods import CachingPipeline
-    from repro.storage.disk import DiskConfig, SimulatedDisk
-    from repro.storage.pointfile import PointFile
-
-    disk = SimulatedDisk(DiskConfig(**manifest["disk"]))
-    point_file = PointFile(
-        points,
-        disk=disk,
-        order=store.load(manifest["points"]["order"], mmap=mmap),
-        value_bytes=int(manifest["value_bytes"]),
-    )
-    searcher = CachedKNNSearch(
-        index, point_file, cache, metrics=metrics, resilience=resilience
-    )
-    context = ServingContext(
-        index=index, point_file=point_file, k=int(manifest["k"])
-    )
-    return CachingPipeline(
-        context=context,
-        cache=cache,
-        method=manifest["method"],
-        tau=manifest["tau"],
-        searcher=searcher,
-        spec=spec,
+        engine = QueryEngine.for_index(
+            index, point_file, cache, metrics=metrics, resilience=resilience
+        )
+    return Pipeline(
+        engine=engine, method=manifest["method"], tau=manifest["tau"], spec=spec
     )
 
 
@@ -338,9 +289,6 @@ def verify_snapshot(
             f"snapshot {path} embeds no spec; differential verification "
             "needs one to rebuild from"
         )
-    from repro.spec.build import build_pipeline
-    from repro.spec.sections import PipelineSpec
-
     served = load_snapshot(path)
     spec = PipelineSpec.from_dict(manifest["spec"])
     fresh = build_pipeline(spec)
@@ -375,11 +323,8 @@ def verify_snapshot(
 
 
 def _fresh_dataset(fresh, spec):
-    ctx = getattr(fresh, "context", None)
-    if ctx is not None and getattr(ctx, "dataset", None) is not None:
-        return ctx.dataset
-    from repro.spec.build import resolve_dataset
-
+    if fresh.context is not None:
+        return fresh.context.dataset
     return resolve_dataset(spec.dataset)
 
 

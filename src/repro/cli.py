@@ -28,6 +28,12 @@ from repro.eval.reporting import format_table
 from repro.eval.runner import Experiment
 from repro.obs.registry import MetricsRegistry
 from repro.obs.reporter import MetricsReporter
+from repro.spec.sections import (
+    CacheSection,
+    DatasetSection,
+    IndexSection,
+    PipelineSpec,
+)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -92,6 +98,30 @@ def _resolve_cache(args, dataset) -> int:
     if args.cache_kb > 0:
         return args.cache_kb * 1024
     return int(dataset.file_bytes * 0.3)
+
+
+def _spec_from_args(args, dataset) -> PipelineSpec:
+    """The ``PipelineSpec`` the dataset/index/method flags describe.
+
+    The spec names the dataset (registry name + scale + seed) rather
+    than embedding it, so ``snapshot verify`` can re-materialize the
+    identical dataset and rebuild the pipeline through the single
+    build path.
+    """
+    return PipelineSpec(
+        dataset=DatasetSection(
+            name=args.dataset, seed=args.seed, scale=args.scale
+        ),
+        index=IndexSection(name=args.index),
+        cache=CacheSection(
+            method=args.method,
+            tau=args.tau,
+            cache_bytes=_resolve_cache(args, dataset),
+            kernel=args.kernel,
+        ),
+        k=args.k,
+        seed=args.seed,
+    )
 
 
 def _fault_config(args):
@@ -231,25 +261,17 @@ def _run_adaptive_experiment(args, dataset, context) -> int:
     import dataclasses
 
     from repro.eval.runner import summarize
-    from repro.spec.build import build_pipeline, spec_from_kwargs
     from repro.spec.sections import AdaptSection
 
     registry = _metrics_registry(args)
-    spec = spec_from_kwargs(
-        dataset=dataset, method=args.method, tau=args.tau,
-        cache_bytes=_resolve_cache(args, dataset), index_name=args.index,
-        k=args.k, seed=args.seed, kernel=args.kernel,
-    )
     spec = dataclasses.replace(
-        spec,
+        _spec_from_args(args, dataset),
         adapt=AdaptSection(
             enabled=True, every=args.adapt_every, model=args.adapt_model
         ),
     )
     try:
-        pipeline = build_pipeline(
-            spec, dataset=dataset, context=context, metrics=registry
-        )
+        pipeline = spec.build(dataset=dataset, context=context, metrics=registry)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -379,7 +401,6 @@ def cmd_serve(args) -> int:
     import numpy as np
 
     from repro.serve import run_open_loop, server_from_spec
-    from repro.spec.build import spec_from_kwargs
     from repro.spec.sections import (
         ReplicaSection,
         ResilienceSection,
@@ -389,11 +410,6 @@ def cmd_serve(args) -> int:
 
     dataset = load_dataset(args.dataset, seed=args.seed, scale=args.scale)
     registry = _metrics_registry(args)
-    spec = spec_from_kwargs(
-        dataset=dataset, method=args.method, tau=args.tau,
-        cache_bytes=_resolve_cache(args, dataset), index_name=args.index,
-        k=args.k, seed=args.seed, kernel=args.kernel,
-    )
     sections: dict = {
         "serve": ServeSection(
             enabled=True,
@@ -424,7 +440,7 @@ def cmd_serve(args) -> int:
             enabled=True, max_retries=max(0, args.retries),
             degraded=True, faults=args.faults,
         )
-    spec = dataclasses.replace(spec, **sections)
+    spec = dataclasses.replace(_spec_from_args(args, dataset), **sections)
     context = None
     if args.shards == 0:
         context = WorkloadContext.prepare(
@@ -602,22 +618,15 @@ def cmd_mutate(args) -> int:
     from repro.eval.runner import summarize
     from repro.mutate import MutablePipeline, parse_predicate, reference_twin
     from repro.mutate.pipeline import MutationCounters
-    from repro.spec.build import build_pipeline, spec_from_kwargs
 
     dataset = load_dataset(args.dataset, seed=args.seed, scale=args.scale)
     context = WorkloadContext.prepare(
         dataset, index_name=args.index, k=args.k, seed=args.seed
     )
     registry = _metrics_registry(args)
-    spec = spec_from_kwargs(
-        dataset=dataset, method=args.method, tau=args.tau,
-        cache_bytes=_resolve_cache(args, dataset), index_name=args.index,
-        k=args.k, seed=args.seed, kernel=args.kernel,
-    )
+    spec = _spec_from_args(args, dataset)
     try:
-        inner = build_pipeline(
-            spec, dataset=dataset, context=context, metrics=registry
-        )
+        inner = spec.build(dataset=dataset, context=context, metrics=registry)
         predicate = parse_predicate(args.filter) if args.filter else None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -691,47 +700,14 @@ def cmd_mutate(args) -> int:
     return 0
 
 
-def _build_spec(args):
-    """A ``PipelineSpec`` recording exactly how the snapshot was built.
-
-    The spec names the dataset (registry name + scale + seed) rather
-    than embedding it, so ``snapshot verify`` can re-materialize the
-    identical dataset and rebuild the pipeline through the single
-    build path.
-    """
-    from repro.spec.sections import (
-        CacheSection,
-        DatasetSection,
-        IndexSection,
-        PipelineSpec,
-    )
-
-    dataset = load_dataset(args.dataset, seed=args.seed, scale=args.scale)
-    spec = PipelineSpec(
-        dataset=DatasetSection(
-            name=args.dataset, seed=args.seed, scale=args.scale
-        ),
-        index=IndexSection(name=args.index),
-        cache=CacheSection(
-            method=args.method,
-            tau=args.tau,
-            cache_bytes=_resolve_cache(args, dataset),
-            kernel=getattr(args, "kernel", "auto"),
-        ),
-        k=args.k,
-        seed=args.seed,
-    )
-    return spec, dataset
-
-
 def cmd_snapshot_build(args) -> int:
     """Build a pipeline from the flags and persist it as a snapshot."""
     from repro.artifacts.snapshot import inspect_snapshot, save_snapshot
-    from repro.spec.build import build_pipeline
 
     registry = _metrics_registry(args)
-    spec, dataset = _build_spec(args)
-    pipeline = build_pipeline(spec, dataset=dataset)
+    dataset = load_dataset(args.dataset, seed=args.seed, scale=args.scale)
+    spec = _spec_from_args(args, dataset)
+    pipeline = spec.build(dataset=dataset)
     queries = (
         dataset.query_log.test if dataset.query_log is not None else None
     )
@@ -791,7 +767,7 @@ def cmd_snapshot_serve(args) -> int:
         queries = queries[: args.limit]
     manifest = read_manifest(args.path)
     k = args.k or int(manifest["k"])
-    spec = getattr(pipeline, "spec", None)
+    spec = pipeline.spec
     controller = None
     if args.adapt_every > 0:
         controller = _serve_controller(args, pipeline, manifest, spec, registry)
@@ -864,7 +840,6 @@ def _serve_controller(args, pipeline, manifest, spec, registry):
         print(f"error: --adapt-every supports the global HC methods "
               f"{sorted(_GLOBAL_BUILDERS)}, not {method!r}", file=sys.stderr)
         return None
-    context = pipeline.context
     cache_bytes = (
         spec.cache.cache_bytes
         if spec is not None
@@ -873,8 +848,8 @@ def _serve_controller(args, pipeline, manifest, spec, registry):
     return DriftController(
         WindowWorkload(capacity=max(4 * args.adapt_every, 256)),
         TrainSpec(
-            points=context.point_file.points,
-            index=context.index,
+            points=pipeline.point_file.points,
+            index=pipeline.index,
             k=args.k or int(manifest["k"]),
             method=method,
             tau=int(manifest["tau"] or 8),

@@ -9,8 +9,9 @@ Modules follow the paper's structure:
   and their quality metrics (M1/M2/M3, Section 3.3-3.5),
 * ``bitpack`` / ``encoder`` / ``bounds`` — tau-bit codes, bit-level packing
   and lower/upper distance bounds (Section 3.1-3.2),
-* ``cache`` / ``reduction`` / ``multistep`` / ``search`` — the cache, the
-  candidate-reduction phase and the full Algorithm 1 pipeline,
+* ``cache`` / ``reduction`` / ``multistep`` — the cache and the
+  candidate-reduction and refinement steps Algorithm 1 runs (the
+  pipeline itself is :class:`repro.engine.QueryEngine`),
 * ``cost_model`` — Section 4's estimators and the optimal code length,
 * ``multidim`` — the R-tree multi-dimensional histogram (mHC-R) and the
   Appendix-B width analysis.
@@ -31,19 +32,16 @@ from repro.core.encoder import (
     PointEncoder,
 )
 from repro.core.histogram import Histogram
-from repro.core.search import CachedKNNSearch, SearchResult
 
 __all__ = [
     "ApproximateCache",
     "CachePolicy",
-    "CachedKNNSearch",
     "CostModel",
     "ExactCache",
     "GlobalHistogramEncoder",
     "Histogram",
     "IndividualHistogramEncoder",
     "PointEncoder",
-    "SearchResult",
     "ValueDomain",
     "build_equidepth",
     "build_equiwidth",

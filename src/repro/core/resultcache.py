@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.search import CachedKNNSearch, QueryStats, SearchResult
+from repro.engine.stats import QueryStats, SearchResult
 
 
 def _query_key(query: np.ndarray, k: int) -> tuple:
@@ -102,13 +102,14 @@ class ResultCache:
 
 
 class ResultCachedSearch:
-    """A searcher wrapper that consults a ResultCache before searching.
+    """A search wrapper that consults a ResultCache before searching.
 
     Answers to repeated (identical) queries cost zero I/O; everything
-    else falls through to the wrapped searcher.
+    else falls through to the wrapped ``searcher`` (a ``QueryEngine`` or
+    anything else with ``search(query, k)``).
     """
 
-    def __init__(self, searcher: CachedKNNSearch, cache: ResultCache) -> None:
+    def __init__(self, searcher, cache: ResultCache) -> None:
         self.searcher = searcher
         self.cache = cache
 

@@ -1,6 +1,6 @@
 """Unified per-query accounting for both cached-search paths.
 
-Historically the candidate-set pipeline (``repro.core.search``) and the
+Historically the candidate-set pipeline and the
 tree-leaf pipeline (``repro.index.treesearch``) reported incompatible
 records.  The engine unifies them: ``QueryStats`` carries the Algorithm-1
 counters used by every experiment in the paper plus *optional* tree-path

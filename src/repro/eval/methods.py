@@ -15,7 +15,8 @@ mHC-R      multi-dimensional (R-tree bucket) histogram
 ``WorkloadContext`` prepares everything derived from (dataset, index,
 workload): candidate sets, candidate frequencies for HFF, the QR multiset
 and ``F'`` arrays, and the cost model.  Pipelines for different methods
-share one context so comparisons are apples-to-apples.
+(built by :meth:`repro.spec.PipelineSpec.build`) share one context so
+comparisons are apples-to-apples.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from repro.core.builders import (
     build_knn_optimal,
     build_voptimal,
 )
-from repro.core.cache import CachePolicy, LeafNodeCache, PointCache
 from repro.core.cost_model import CostModel
 from repro.core.encoder import (
     GlobalHistogramEncoder,
@@ -45,17 +45,9 @@ from repro.core.frequency import (
 )
 from repro.core.histogram import Histogram
 from repro.core.multidim import RTreeBucketEncoder
-from repro.core.search import CachedKNNSearch, SearchResult
 from repro.data.datasets import Dataset
-from repro.engine.engine import QueryEngine
-from repro.index.treesearch import TreeSearchResult
-from repro.spec.registry import (
-    INDEX_NAMES,
-    TREE_INDEX_NAMES,
-    build_index,
-)
+from repro.spec.registry import INDEX_NAMES, build_index
 from repro.storage.disk import DiskConfig, SimulatedDisk
-from repro.storage.iostats import QueryIOTracker
 from repro.storage.ordering import make_order
 from repro.storage.pointfile import PointFile
 
@@ -266,192 +258,3 @@ class WorkloadContext:
             raise ValueError(f"no encoder for method {method!r}")
         self._cache[key] = enc
         return enc
-
-
-@dataclass
-class CachingPipeline:
-    """A ready-to-query configuration: index + cache + data file.
-
-    ``search`` answers queries through Algorithm 1 and records per-query
-    statistics; results are identical to the uncached index's answers.
-    ``search_many`` routes a query batch through the engine's batched hot
-    path (one cache probe for the union of candidates).
-    """
-
-    context: WorkloadContext
-    cache: PointCache
-    method: str
-    tau: int | None
-    searcher: CachedKNNSearch
-    #: The ``PipelineSpec`` this pipeline was built from (None for
-    #: hand-assembled pipelines); embedded in snapshot manifests.
-    spec: object | None = None
-    #: The ``repro.workload.DriftController`` driving online adaptation
-    #: (None unless the spec's adapt section is enabled).
-    drift_controller: object | None = None
-
-    @property
-    def engine(self) -> QueryEngine:
-        """The unified query engine behind this pipeline."""
-        return self.searcher.engine
-
-    def search(self, query: np.ndarray, k: int | None = None) -> SearchResult:
-        return self.searcher.search(query, k or self.context.k)
-
-    def search_many(
-        self, queries: np.ndarray, k: int | None = None
-    ) -> list[SearchResult]:
-        return self.searcher.search_many(queries, k or self.context.k)
-
-    @property
-    def read_latency_s(self) -> float:
-        return self.context.point_file.disk.config.read_latency_s
-
-    @property
-    def seq_read_latency_s(self) -> float:
-        return self.context.point_file.disk.config.seq_read_latency_s
-
-
-def make_cache(
-    context: WorkloadContext,
-    method: str,
-    tau: int = 8,
-    cache_bytes: int = 1 << 20,
-    policy: CachePolicy = CachePolicy.HFF,
-) -> PointCache:
-    """Build and (for HFF) populate the cache of a named method.
-
-    Thin wrapper over the single construction implementation in
-    :func:`repro.spec.build.make_method_cache`.
-    """
-    from repro.spec.build import make_method_cache
-
-    return make_method_cache(
-        context, method, tau=tau, cache_bytes=cache_bytes, policy=policy
-    )
-
-
-def build_caching_pipeline(
-    dataset: Dataset,
-    method: str = "HC-O",
-    tau: int = 8,
-    cache_bytes: int = 1 << 20,
-    index_name: str = "c2lsh",
-    ordering: str = "raw",
-    k: int = 10,
-    policy: CachePolicy = CachePolicy.HFF,
-    seed: int = 0,
-    context: WorkloadContext | None = None,
-    metrics=None,
-    resilience=None,
-) -> CachingPipeline:
-    """One-call assembly of a complete cached-search configuration.
-
-    Thin adapter: folds the keyword arguments into a declarative
-    :class:`~repro.spec.PipelineSpec` and delegates to the single build
-    path (:func:`repro.spec.build.build_pipeline`).  Pass a pre-built
-    ``context`` to reuse the index and workload scans across methods
-    (recommended in benchmarks).  ``metrics`` is an optional
-    ``MetricsRegistry`` (see ``repro.obs``) the engine will aggregate
-    phase timings and per-query stats into.  ``resilience`` is an
-    optional ``repro.faults.ResiliencePolicy`` guarding the refinement
-    I/O (retries, breaker, deadline, degraded answers).
-    """
-    from repro.spec.build import build_pipeline, spec_from_kwargs
-
-    spec = spec_from_kwargs(
-        dataset=dataset,
-        method=method,
-        tau=tau,
-        cache_bytes=cache_bytes,
-        index_name=index_name,
-        ordering=ordering,
-        k=k,
-        policy=policy,
-        seed=seed,
-    )
-    return build_pipeline(
-        spec,
-        dataset=dataset,
-        context=context,
-        metrics=metrics,
-        resilience=resilience,
-    )
-
-
-# ----------------------------------------------------------------------
-# Tree-based indexes (Section 3.6.1)
-# ----------------------------------------------------------------------
-@dataclass
-class TreePipeline:
-    """A tree index plus a leaf-node cache (EXACT or approximate).
-
-    Queries run through the unified engine's tree source; ``search``
-    returns the unified ``SearchResult`` whose stats carry the tree
-    counters (``leaf_fetches``, ``cached_leaf_hits``, ...) as optional
-    fields.
-    """
-
-    index: object
-    cache: LeafNodeCache | None
-    method: str
-    read_latency_s: float = 5e-3
-    engine: QueryEngine | None = None
-    metrics: object = None
-    #: The ``PipelineSpec`` this pipeline was built from (None for
-    #: hand-assembled pipelines); embedded in snapshot manifests.
-    spec: object | None = None
-
-    def __post_init__(self) -> None:
-        if self.engine is None:
-            self.engine = QueryEngine.for_tree(
-                self.index, self.cache, metrics=self.metrics
-            )
-
-    def search(self, query: np.ndarray, k: int) -> SearchResult:
-        return self.engine.search(query, k)
-
-    def search_many(self, queries: np.ndarray, k: int) -> list[SearchResult]:
-        return self.engine.search_many(queries, k)
-
-    def search_raw(self, query: np.ndarray, k: int) -> TreeSearchResult:
-        """The legacy tree-native result (``TreeQueryStats`` record)."""
-        tracker = QueryIOTracker()
-        return self.index.search(query, k, cache=self.cache, tracker=tracker)
-
-
-def build_tree_pipeline(
-    dataset: Dataset,
-    index_name: str = "idistance",
-    method: str = "HC-O",
-    tau: int = 8,
-    cache_bytes: int = 1 << 20,
-    k: int = 10,
-    seed: int = 0,
-    context: WorkloadContext | None = None,
-    metrics=None,
-) -> TreePipeline:
-    """Assemble a tree index with the Section-3.6.1 leaf cache.
-
-    Thin adapter over the single build path (see
-    :func:`repro.spec.build.build_pipeline`).  ``method`` may be
-    NO-CACHE, EXACT, or any global/per-dimension HC-* method (the leaf
-    cache stores approximate representations of all points of each
-    cached leaf).
-    """
-    if index_name not in TREE_INDEX_NAMES:
-        raise ValueError(
-            f"unknown tree index {index_name!r}; choices: {TREE_INDEX_NAMES}"
-        )
-    from repro.spec.build import build_pipeline, spec_from_kwargs
-
-    spec = spec_from_kwargs(
-        dataset=dataset,
-        method=method,
-        tau=tau,
-        cache_bytes=cache_bytes,
-        index_name=index_name,
-        k=k,
-        seed=seed,
-    )
-    return build_pipeline(spec, dataset=dataset, context=context, metrics=metrics)

@@ -18,11 +18,16 @@ import numpy as np
 from repro.core.cache import ApproximateCache, CachePolicy
 from repro.core.encoder import PointEncoder
 from repro.core.reduction import reduce_candidates
-from repro.core.search import QueryStats
 from repro.data.datasets import Dataset
+from repro.engine.stats import QueryStats
 from repro.eval.methods import WorkloadContext
 from repro.obs.registry import MetricsRegistry
-from repro.spec.sections import PipelineSpec
+from repro.spec.sections import (
+    CacheSection,
+    DatasetSection,
+    IndexSection,
+    PipelineSpec,
+)
 from repro.obs.reporter import observed_vs_predicted, publish_cache_metrics
 
 
@@ -121,19 +126,19 @@ class Experiment:
         are passed alongside the spec at build time, so the spec records
         only the serializable configuration.
         """
-        from repro.spec.build import spec_from_kwargs
-
-        return spec_from_kwargs(
-            dataset=self.dataset,
-            method=self.method,
-            tau=self.tau,
-            cache_bytes=self.cache_bytes,
-            index_name=self.index_name,
-            ordering=self.ordering,
+        return PipelineSpec(
+            dataset=DatasetSection(name=self.dataset.name, seed=self.seed),
+            index=IndexSection(name=self.index_name),
+            cache=CacheSection(
+                method=self.method,
+                tau=self.tau,
+                cache_bytes=self.cache_bytes,
+                policy="lru" if self.policy is CachePolicy.LRU else "hff",
+                kernel=self.kernel,
+            ),
             k=self.k,
-            policy=self.policy,
+            ordering=self.ordering,
             seed=self.seed,
-            kernel=self.kernel,
         )
 
     @classmethod
@@ -232,7 +237,7 @@ class Experiment:
             return lambda: None
         from repro.faults.disk import FaultyDisk
 
-        point_file = pipeline.context.point_file
+        point_file = pipeline.point_file
         original = point_file.disk
         point_file.disk = FaultyDisk(original, self.faults, registry=registry)
         def restore() -> None:

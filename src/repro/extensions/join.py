@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.search import CachedKNNSearch, QueryStats
+from repro.engine.engine import QueryEngine
+from repro.engine.stats import QueryStats
 
 
 @dataclass(frozen=True)
@@ -45,13 +46,13 @@ class JoinResult:
 
 
 def knn_join(
-    queries: np.ndarray, searcher: CachedKNNSearch, k: int
+    queries: np.ndarray, searcher: QueryEngine, k: int
 ) -> JoinResult:
     """Join every query point with its k nearest data points.
 
     Args:
         queries: ``(m, d)`` query set ``Q``.
-        searcher: a ready Algorithm-1 pipeline (index + cache + file);
+        searcher: a ready Algorithm-1 engine (index + cache + file);
             results are identical to the uncached index's answers.
         k: neighbors per query point.
     """
@@ -82,7 +83,7 @@ def knn_join(
 
 
 def knn_self_join(
-    searcher: CachedKNNSearch, k: int, exclude_self: bool = True
+    searcher: QueryEngine, k: int, exclude_self: bool = True
 ) -> JoinResult:
     """kNN self-join of the data set behind ``searcher``.
 

@@ -1,7 +1,8 @@
 """``MutablePipeline``: cache-coherent insert/delete/update over a pipeline.
 
-The mutation layer wraps a built pipeline (``CachingPipeline`` or
-``TreePipeline``) and keeps four mutable structures coherent:
+The mutation layer wraps a built :class:`~repro.spec.build.Pipeline`
+(any index family, freshly built or snapshot-loaded) and keeps four
+mutable structures coherent:
 
 1. the :class:`~repro.mutate.dataset.MutableDataset` (points, tombstone
    bitmap, attributes),
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.cache import CachePolicy, LeafNodeCache, NoCache
+from repro.core.cache import CachePolicy, NoCache
 from repro.engine.sources import dedupe_ids
 from repro.index.linear_scan import LinearScanIndex
 from repro.mutate.advisor import AdvisorDecision, MutationAdvisor
@@ -160,12 +161,14 @@ class MutablePipeline:
     """Mutation-aware wrapper over a built pipeline.
 
     Args:
-        inner: a ``CachingPipeline`` or ``TreePipeline``.
+        inner: a built or snapshot-loaded ``Pipeline``.  Open snapshots
+            with ``load_snapshot(path, mmap=False)``: mmapped members are
+            read-only pages shared across processes.
         data: the mutable dataset (derived from the inner pipeline's
             points when omitted).
         workload: query workload driving revalidation (defaults to the
-            inner context's query log for ``CachingPipeline``).
-        k: revalidation k (defaults to the inner context's k).
+            query log of the inner pipeline's workload context, if any).
+        k: revalidation k (defaults to the inner pipeline's k).
         advisor: patch-vs-rebuild advisor (a default one is created).
         counters: mutation observability (a default one is created).
     """
@@ -178,19 +181,15 @@ class MutablePipeline:
     counters: MutationCounters = field(default_factory=MutationCounters)
 
     def __post_init__(self) -> None:
-        ctx = getattr(self.inner, "context", None)
-        if ctx is not None:  # CachingPipeline
-            if self.data is None:
-                self.data = MutableDataset(ctx.dataset.points)
-            if self.workload is None and ctx.dataset.query_log is not None:
+        if self.data is None:
+            source = self.point_file if self.point_file is not None else self.index
+            self.data = MutableDataset(source.points)
+        ctx = self.inner.context
+        if self.workload is None and ctx is not None:
+            if ctx.dataset.query_log is not None:
                 self.workload = ctx.dataset.query_log.workload
-            if self.k is None:
-                self.k = ctx.k
-        else:  # TreePipeline: points/workload/k come from the caller
-            if self.data is None:
-                self.data = MutableDataset(self.index.points)
         if self.k is None:
-            raise ValueError("tree pipelines need an explicit k")
+            self.k = self.inner.k
         if self.advisor is None:
             self.advisor = MutationAdvisor(baseline_workload=self.workload)
         self.engine.set_live_mask(self.data.live)
@@ -206,20 +205,16 @@ class MutablePipeline:
 
     @property
     def index(self):
-        ctx = getattr(self.inner, "context", None)
-        return ctx.index if ctx is not None else self.inner.index
+        return self.inner.index
 
     @property
     def point_file(self):
-        ctx = getattr(self.inner, "context", None)
-        return ctx.point_file if ctx is not None else None
+        return self.inner.point_file
 
     @property
     def cache(self):
         """The live cache (point caches may have been hot-swapped)."""
-        if self.is_tree:
-            return self.inner.cache
-        return self.engine.cache
+        return self.inner.cache
 
     @property
     def native_insert(self) -> bool:

@@ -49,7 +49,7 @@ def server_from_spec(
     """Materialize the serving stack a spec describes.
 
     Returns ``(server, pipeline)``; the pipeline is the built
-    ``CachingPipeline``/``TreePipeline`` (or the ``ShardedEngine`` when
+    ``Pipeline`` (or the ``ShardedEngine`` when
     ``shard.n_shards > 0``, or a pipelines handle when
     ``replica.enabled``) so callers can inspect the engine, swap
     snapshots, or close shard workers.

@@ -221,8 +221,8 @@ class Server:
     """Queue + admission control + dynamic micro-batching over an engine.
 
     Args:
-        engine: the serving target.  Pipelines (``CachingPipeline`` /
-            ``TreePipeline``) are unwrapped to their ``.engine``; a
+        engine: the serving target.  A ``Pipeline`` is unwrapped to
+            its ``.engine``; a
             ``QueryEngine`` additionally gets per-request deadlines
             threaded through its batched path, while other targets
             (e.g. ``ShardedEngine``) rely on the server's own
@@ -259,9 +259,6 @@ class Server:
         self.clock = clock or RealClock()
         self.metrics = metrics
         self.controller = controller
-        self._observe_stats = controller is not None and _takes_stats(
-            controller
-        )
         self._cond = threading.Condition()
         self._pending: deque[_Pending] = deque()
         self._mutations_queued = 0
@@ -674,10 +671,7 @@ class Server:
         if self.controller is None:
             return
         for pending, result in answered:
-            if self._observe_stats:
-                self.controller.observe(pending.query, result.stats)
-            else:
-                self.controller.observe(pending.query)
+            self.controller.observe(pending.query, result.stats)
 
     def _run_group(
         self,
@@ -723,20 +717,3 @@ class _NullHistogram:
 
 
 _NULL_HISTOGRAM = _NullHistogram()
-
-
-def _takes_stats(controller) -> bool:
-    """Whether ``controller.observe`` accepts per-query stats.
-
-    ``DriftController.observe(query, stats)`` does; the legacy
-    ``CacheMaintainer.observe(query)`` does not.
-    """
-    import inspect
-
-    try:
-        params = inspect.signature(controller.observe).parameters
-    except (TypeError, ValueError):
-        return False
-    return len(params) >= 2 or any(
-        p.kind is inspect.Parameter.VAR_POSITIONAL for p in params.values()
-    )

@@ -9,7 +9,7 @@ Two levels:
   method-aware layer the CLI uses: maps the paper's method names
   (NO-CACHE, EXACT, HC-*, iHC-*, mHC-R) onto shard cache recipes via a
   shared :class:`~repro.eval.methods.WorkloadContext`, so the sharded
-  run caches exactly what the unsharded ``make_cache`` would.
+  run caches exactly what the unsharded build would.
 
 Cache-budget semantics (see :mod:`repro.shard.budget`): the default
 ``global-hff`` mode performs a *content* split — each shard's capacity
@@ -214,9 +214,9 @@ def method_cache_spec(
 ) -> dict | None:
     """The global cache recipe of a paper method name.
 
-    Thin wrapper over :func:`repro.spec.build.cache_recipe` — the same
-    implementation that backs the unsharded ``make_cache``, so sharded
-    runs cache exactly what the unsharded build would.
+    Thin wrapper over :func:`repro.spec.build.cache_recipe`, the
+    recipe form of the unsharded build's ``make_method_cache``, so
+    sharded runs cache exactly what the unsharded build would.
     """
     from repro.spec.build import cache_recipe
 

@@ -4,9 +4,10 @@ A :class:`PipelineSpec` is a frozen, serializable description of one
 complete cached-search configuration: dataset, index, cache method,
 resilience, sharding and metrics.  It round-trips through JSON and TOML,
 and :meth:`PipelineSpec.build` is the *only* place in the codebase that
-wires an index + cache + point file into a pipeline — the historical
-entry points (``build_caching_pipeline``, ``build_tree_pipeline``,
-``Experiment``, ``shard.factory``, the CLI) are thin adapters over it.
+wires an index + cache + point file into a
+:class:`~repro.spec.build.Pipeline` — ``Experiment``, the CLI, the
+serving factory and the shard layer all describe their configuration as
+a spec and build through it.
 
 The component registry (:mod:`repro.spec.registry`) maps index family
 names to builder callables and is extensible via :func:`register_index`.

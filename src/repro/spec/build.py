@@ -1,15 +1,16 @@
 """The single pipeline-construction implementation.
 
-Everything that used to wire indexes, caches and point files together —
-``build_caching_pipeline``, ``build_tree_pipeline``, ``make_cache``,
-``shard.factory.method_cache_spec``, ``Experiment.run`` and the CLI —
-now adapts its arguments into a :class:`~repro.spec.PipelineSpec` and
-calls :func:`build_pipeline` / :func:`build_sharded` here.  Keeping one
+Every caller — ``Experiment.run``, the CLI, the serving factory, the
+shard layer (``cache_recipe``) and snapshot verification — describes
+what it wants as a :class:`~repro.spec.PipelineSpec` and builds it
+through :func:`build_pipeline` / :func:`build_sharded` here.  Keeping one
 copy is what makes snapshot artifacts trustworthy: the spec embedded in
 a manifest rebuilds through exactly the code that built the original.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,22 +24,90 @@ from repro.core.cache import (
     PointCache,
 )
 from repro.core.encoder import IndividualHistogramEncoder
-from repro.core.search import CachedKNNSearch
 from repro.data.datasets import Dataset, load_dataset
+from repro.engine.engine import QueryEngine
+from repro.engine.stats import SearchResult
 from repro.spec.registry import TREE_INDEX_NAMES, build_index
 from repro.spec.sections import (
-    CacheSection,
     DatasetSection,
-    IndexSection,
     PipelineSpec,
     ResilienceSection,
 )
+from repro.storage.disk import DiskConfig
+
+
+@dataclass
+class Pipeline:
+    """A ready-to-query configuration: Algorithm 1 plus how it was built.
+
+    :meth:`PipelineSpec.build` and ``load_snapshot`` return this one type
+    for every index family.  ``cache``, ``index``, ``point_file``, ``k``
+    and the modeled read latencies are read from the engine (or the
+    spec) on every access rather than copied, so a drift hot swap or a
+    mutation is visible through them at once.
+    """
+
+    engine: QueryEngine
+    method: str
+    tau: int | None
+    #: The ``PipelineSpec`` this pipeline was built from; embedded in
+    #: snapshot manifests (None only for snapshots saved without one).
+    spec: PipelineSpec | None = None
+    #: The ``WorkloadContext`` the build trained its cache on (None when
+    #: the build needed no workload scan, and for snapshot loads).
+    context: object | None = None
+    #: The ``repro.workload.DriftController`` driving online adaptation
+    #: (None unless the spec's adapt section is enabled).
+    drift_controller: object | None = None
+
+    @property
+    def cache(self):
+        """The live cache: the point cache, or a tree's leaf cache."""
+        if self.engine.is_tree:
+            return self.engine.source.leaf_cache
+        return self.engine.cache
+
+    @property
+    def index(self):
+        return self.engine.source.index
+
+    @property
+    def point_file(self):
+        """The data file (None for trees, whose leaves carry the pages)."""
+        return self.engine.point_file
+
+    @property
+    def k(self) -> int:
+        """The default result size."""
+        return self.spec.k if self.spec is not None else PipelineSpec.k
+
+    @property
+    def _disk(self) -> DiskConfig:
+        if self.point_file is None:
+            return DiskConfig()
+        return self.point_file.disk.config
+
+    @property
+    def read_latency_s(self) -> float:
+        return self._disk.read_latency_s
+
+    @property
+    def seq_read_latency_s(self) -> float:
+        return self._disk.seq_read_latency_s
+
+    def search(self, query: np.ndarray, k: int | None = None) -> SearchResult:
+        return self.engine.search(query, k or self.k)
+
+    def search_many(
+        self, queries: np.ndarray, k: int | None = None
+    ) -> list[SearchResult]:
+        return self.engine.search_many(queries, k or self.k)
 
 
 def resolve_dataset(section: DatasetSection) -> Dataset:
     """Materialize the spec's dataset (saved file wins over registry)."""
     if section.path is not None:
-        from repro.persist import load_dataset_file
+        from repro.artifacts.legacy import load_dataset_file
 
         return load_dataset_file(section.path)
     return load_dataset(section.name, seed=section.seed, scale=section.scale)
@@ -66,37 +135,6 @@ def build_resilience(section: ResilienceSection):
         degraded=section.degraded,
     )
     return fault_spec, policy
-
-
-def spec_from_kwargs(
-    dataset: Dataset | None = None,
-    method: str = "HC-O",
-    tau: int = 8,
-    cache_bytes: int = 1 << 20,
-    index_name: str = "c2lsh",
-    ordering: str = "raw",
-    k: int = 10,
-    policy: CachePolicy = CachePolicy.HFF,
-    seed: int = 0,
-    kernel: str = "auto",
-) -> PipelineSpec:
-    """A spec mirroring the historical ``build_caching_pipeline`` args."""
-    return PipelineSpec(
-        dataset=DatasetSection(
-            name=dataset.name if dataset is not None else "tiny", seed=seed
-        ),
-        index=IndexSection(name=index_name),
-        cache=CacheSection(
-            method=method,
-            tau=tau,
-            cache_bytes=cache_bytes,
-            policy="lru" if policy is CachePolicy.LRU else "hff",
-            kernel=kernel,
-        ),
-        k=k,
-        ordering=ordering,
-        seed=seed,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -229,14 +267,13 @@ def build_pipeline(
     context=None,
     metrics=None,
     resilience=None,
-):
-    """Materialize the pipeline a :class:`PipelineSpec` describes.
+) -> Pipeline:
+    """Materialize the :class:`Pipeline` a :class:`PipelineSpec` describes.
 
-    Returns a ``CachingPipeline`` for candidate-path indexes or a
-    ``TreePipeline`` for tree indexes.  ``dataset``/``context`` override
-    the spec's dataset section with pre-built objects (shared across
-    methods in sweeps); ``metrics`` and ``resilience`` likewise override
-    the spec's sections with live objects.
+    ``dataset``/``context`` override the spec's dataset section with
+    pre-built objects (shared across methods in sweeps); ``metrics`` and
+    ``resilience`` likewise override the spec's sections with live
+    objects.
     """
     from repro.eval.methods import METHOD_NAMES
 
@@ -252,12 +289,27 @@ def build_pipeline(
     if resilience is None and spec.resilience.enabled:
         _, resilience = build_resilience(spec.resilience)
     if spec.index.name in TREE_INDEX_NAMES:
-        return _build_tree_pipeline(spec, dataset, context, metrics)
-    return _build_point_pipeline(spec, dataset, context, metrics, resilience)
+        engine, context = _build_tree_engine(spec, dataset, context, metrics)
+    else:
+        engine, context = _build_point_engine(
+            spec, dataset, context, metrics, resilience
+        )
+    pipeline = Pipeline(
+        engine=engine,
+        method=method,
+        tau=spec.cache.tau,
+        spec=spec,
+        context=context,
+    )
+    if spec.adapt.enabled and not engine.is_tree:
+        pipeline.drift_controller = attach_adaptation(
+            spec, context, engine, metrics=metrics
+        )
+    return pipeline
 
 
-def _build_point_pipeline(spec, dataset, context, metrics, resilience):
-    from repro.eval.methods import CachingPipeline, WorkloadContext
+def _build_point_engine(spec, dataset, context, metrics, resilience):
+    from repro.eval.methods import WorkloadContext
 
     if context is None:
         context = WorkloadContext.prepare(
@@ -276,26 +328,14 @@ def _build_point_pipeline(spec, dataset, context, metrics, resilience):
         policy=resolve_policy(spec.cache.policy),
         kernel=spec.cache.kernel,
     )
-    searcher = CachedKNNSearch(
+    engine = QueryEngine.for_index(
         context.index,
         context.point_file,
         cache,
         metrics=metrics,
         resilience=resilience,
     )
-    pipeline = CachingPipeline(
-        context=context,
-        cache=cache,
-        method=spec.cache.method,
-        tau=spec.cache.tau,
-        searcher=searcher,
-        spec=spec,
-    )
-    if spec.adapt.enabled:
-        pipeline.drift_controller = attach_adaptation(
-            spec, context, pipeline.engine, metrics=metrics
-        )
-    return pipeline
+    return engine, context
 
 
 def attach_adaptation(spec, context, engine, metrics=None):
@@ -353,8 +393,8 @@ def attach_adaptation(spec, context, engine, metrics=None):
     return controller
 
 
-def _build_tree_pipeline(spec, dataset, context, metrics):
-    from repro.eval.methods import TreePipeline, WorkloadContext
+def _build_tree_engine(spec, dataset, context, metrics):
+    from repro.eval.methods import WorkloadContext
 
     method = spec.cache.method
     index = build_index(
@@ -365,9 +405,7 @@ def _build_tree_pipeline(spec, dataset, context, metrics):
         params=spec.index.params,
     )
     if method == "NO-CACHE":
-        return TreePipeline(
-            index=index, cache=None, method=method, metrics=metrics, spec=spec
-        )
+        return QueryEngine.for_tree(index, None, metrics=metrics), context
     if method == "EXACT":
         cache = LeafNodeCache(
             None,
@@ -395,9 +433,7 @@ def _build_tree_pipeline(spec, dataset, context, metrics):
             dataset.query_log.workload, spec.k
         )
         cache.populate_by_frequency(freqs, index.leaf_contents)
-    return TreePipeline(
-        index=index, cache=cache, method=method, metrics=metrics, spec=spec
-    )
+    return QueryEngine.for_tree(index, cache, metrics=metrics), context
 
 
 def build_sharded(spec: PipelineSpec, dataset: Dataset | None = None, context=None):

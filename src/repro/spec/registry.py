@@ -1,8 +1,7 @@
 """Component registry: index family name -> builder callable.
 
-One table replaces the three divergent copies of index wiring that used
-to live in ``eval.methods._build_index``, ``shard.spec.INDEX_BUILDERS``
-and ``build_tree_pipeline``.  Builders share one signature::
+One table serves every index family the spec build path, the workload
+context and the shard layer construct.  Builders share one signature::
 
     builder(points, *, seed=0, value_bytes=4, params=None) -> index
 

@@ -276,11 +276,9 @@ class PipelineSpec:
     # Construction (delegates to the single build path)
     # ------------------------------------------------------------------
     def build(self, dataset=None, context=None, metrics=None, resilience=None):
-        """Materialize the pipeline this spec describes.
-
-        Returns a ``CachingPipeline`` (candidate-path indexes) or a
-        ``TreePipeline`` (tree indexes).  Pass ``dataset``/``context``
-        to reuse pre-built inputs across methods.
+        """Materialize the :class:`~repro.spec.build.Pipeline` this spec
+        describes (one type for every index family).  Pass
+        ``dataset``/``context`` to reuse pre-built inputs across methods.
         """
         from repro.spec.build import build_pipeline
 

@@ -16,9 +16,8 @@ describes for one caching method:
    filled highest-frequency-first.
 
 Every other trainer in the repo — ``spec.build.make_method_cache`` (and
-through it ``build_pipeline`` / ``Experiment`` / the CLI), and the
-deprecated ``core.maintenance.CacheMaintainer`` — delegates here, so a
-:class:`WindowWorkload` holding exactly ``WL`` trains a cache
+through it ``build_pipeline`` / ``Experiment`` / the CLI) — delegates
+here, so a :class:`WindowWorkload` holding exactly ``WL`` trains a cache
 bit-identical to the offline build (an equivalence suite enforces F',
 bucket boundaries, ``tau*`` and cache contents).
 """

@@ -14,7 +14,7 @@ class TestLazyExports:
 
     def test_dir_lists_exports(self):
         listing = dir(repro)
-        assert "CachedKNNSearch" in listing
+        assert "Pipeline" in listing
         assert "load_dataset" in listing
 
     def test_unknown_attribute_raises(self):
@@ -25,6 +25,6 @@ class TestLazyExports:
         assert repro.__version__.count(".") == 2
 
     def test_exports_point_to_real_classes(self):
-        from repro.core.search import CachedKNNSearch
+        from repro.spec.build import Pipeline
 
-        assert repro.CachedKNNSearch is CachedKNNSearch
+        assert repro.Pipeline is Pipeline

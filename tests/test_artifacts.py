@@ -313,27 +313,33 @@ class TestHotSwap:
         )
         return micro_dataset, context
 
-    def _maintainer(self, world, **kwargs):
-        from repro.core.maintenance import CacheMaintainer
+    def _controller(self, world, **kwargs):
+        from repro.workload.drift import DriftController
+        from repro.workload.model import WindowWorkload
+        from repro.workload.train import TrainSpec
 
         dataset, context = world
-        maintainer = CacheMaintainer(
-            context.index, dataset.points, k=5, tau=5,
-            cache_bytes=1 << 14, **kwargs,
+        controller = DriftController(
+            WindowWorkload(),
+            TrainSpec(
+                points=dataset.points, index=context.index, k=5,
+                method="HC-O", tau=5, cache_bytes=1 << 14,
+            ),
+            **kwargs,
         )
         for q in dataset.query_log.workload[:60]:
-            maintainer.window.record(q)
-        return maintainer
+            controller.model.record(q)
+        return controller
 
     def test_cache_snapshot_round_trip(self, tmp_path, maintained_world):
         dataset, _ = maintained_world
-        maintainer = self._maintainer(maintained_world)
-        maintainer.rebuild()
-        path = save_cache_snapshot(tmp_path, "snap-000001", maintainer.cache)
+        controller = self._controller(maintained_world)
+        controller.retrain()
+        path = save_cache_snapshot(tmp_path, "snap-000001", controller.cache)
         loaded = load_cache_snapshot(path, points=dataset.points)
-        assert loaded.num_items == maintainer.cache.num_items
+        assert loaded.num_items == controller.cache.num_items
         q = dataset.query_log.test[0]
-        a = maintainer.cache.lookup(q, np.arange(20))
+        a = controller.cache.lookup(q, np.arange(20))
         b = loaded.lookup(q, np.arange(20))
         assert np.array_equal(a[0], b[0])  # same hit set
         assert np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
@@ -341,13 +347,13 @@ class TestHotSwap:
     def test_publish_sets_current_and_report_path(
         self, tmp_path, maintained_world
     ):
-        maintainer = self._maintainer(
+        controller = self._controller(
             maintained_world, snapshot_root=tmp_path
         )
-        report = maintainer.rebuild()
+        report = controller.retrain()
         assert report.snapshot_path is not None
         assert read_current(tmp_path) == tmp_path / "snap-000001"
-        report = maintainer.rebuild()
+        report = controller.retrain()
         assert read_current(tmp_path) == tmp_path / "snap-000002"
         assert report.snapshot_path.endswith("snap-000002")
 
@@ -361,7 +367,7 @@ class TestHotSwap:
         bounds — so the invariant is snapshot-swap vs in-memory-swap,
         not cached vs uncached.
         """
-        from repro.core.search import CachedKNNSearch
+        from repro.engine import QueryEngine
         from repro.storage.pointfile import PointFile
 
         dataset, context = maintained_world
@@ -370,22 +376,21 @@ class TestHotSwap:
         def serving_engine():
             from repro.core.cache import NoCache
 
-            searcher = CachedKNNSearch(
+            return QueryEngine.for_index(
                 context.index, PointFile(dataset.points), NoCache()
             )
-            return searcher.engine
 
         snap_engine = serving_engine()
         mem_engine = serving_engine()
-        snap_maintainer = self._maintainer(
+        snap_controller = self._controller(
             maintained_world, snapshot_root=tmp_path, engine=snap_engine
         )
-        mem_maintainer = self._maintainer(
+        mem_controller = self._controller(
             maintained_world, engine=mem_engine
         )
-        snap_maintainer.rebuild()
-        mem_maintainer.rebuild()
-        assert snap_engine.cache is snap_maintainer.cache  # mmap-served
+        snap_controller.retrain()
+        mem_controller.retrain()
+        assert snap_engine.cache is snap_controller.cache  # mmap-served
         for q in queries:
             ra = snap_engine.search(q, 5)
             rb = mem_engine.search(q, 5)
@@ -405,20 +410,20 @@ class TestHotSwap:
         self, tmp_path, maintained_world
     ):
         from repro.core.cache import NoCache
-        from repro.core.search import CachedKNNSearch
+        from repro.engine import QueryEngine
         from repro.obs.registry import MetricsRegistry
         from repro.storage.pointfile import PointFile
 
         dataset, context = maintained_world
         registry = MetricsRegistry()
-        searcher = CachedKNNSearch(
+        engine = QueryEngine.for_index(
             context.index, PointFile(dataset.points), NoCache()
         )
-        maintainer = self._maintainer(
+        controller = self._controller(
             maintained_world, snapshot_root=tmp_path,
-            engine=searcher.engine, metrics=registry,
+            engine=engine, metrics=registry,
         )
-        maintainer.rebuild()
+        controller.retrain()
         snapshot = registry.snapshot()
         counters = snapshot.get("counters", snapshot)
         flat = str(counters)

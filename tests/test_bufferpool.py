@@ -7,7 +7,7 @@ from repro.core.builders import build_knn_optimal
 from repro.core.cache import ApproximateCache, NoCache
 from repro.core.domain import ValueDomain
 from repro.core.encoder import GlobalHistogramEncoder
-from repro.core.search import CachedKNNSearch
+from repro.engine import QueryEngine
 from repro.index.linear_scan import LinearScanIndex
 from repro.storage.bufferpool import BufferedPointFile, BufferPool
 from repro.storage.iostats import QueryIOTracker
@@ -62,7 +62,7 @@ class TestBufferedPointFile:
 
     def test_search_pipeline_accepts_buffered_file(self, world):
         pf = BufferedPointFile(PointFile(world, value_bytes=4), BufferPool(1 << 16))
-        searcher = CachedKNNSearch(LinearScanIndex(len(world)), pf, NoCache())
+        searcher = QueryEngine.for_index(LinearScanIndex(len(world)), pf, NoCache())
         q = world[3] + 0.2
         first = searcher.search(q, 5)
         second = searcher.search(q, 5)
@@ -78,7 +78,7 @@ class TestBufferedPointFile:
         page_pf = BufferedPointFile(
             PointFile(world, value_bytes=4), BufferPool(budget)
         )
-        page_search = CachedKNNSearch(
+        page_search = QueryEngine.for_index(
             LinearScanIndex(len(world)), page_pf, NoCache()
         )
         # Semantic (HC-O) configuration under the same budget.
@@ -88,7 +88,7 @@ class TestBufferedPointFile:
         )
         sem_cache = ApproximateCache(enc, budget, len(world))
         sem_cache.populate(np.arange(sem_cache.max_items), world[: sem_cache.max_items])
-        sem_search = CachedKNNSearch(
+        sem_search = QueryEngine.for_index(
             LinearScanIndex(len(world)), PointFile(world, value_bytes=4), sem_cache
         )
         rng = np.random.default_rng(3)

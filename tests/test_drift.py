@@ -10,9 +10,13 @@ import numpy as np
 import pytest
 
 from repro.artifacts.store import read_current
-from repro.core.cache import CachePolicy
-from repro.eval.methods import build_caching_pipeline
+from repro.artifacts.snapshot import load_snapshot, save_snapshot
+from repro.data.synthetic import clustered_dataset
+from repro.data.workload import generate_query_log
+from repro.engine import QueryEngine
+from repro.index.linear_scan import LinearScanIndex
 from repro.obs import MetricsRegistry, drift_comparison
+from repro.storage.pointfile import PointFile
 from repro.spec import (
     AdaptSection,
     CacheSection,
@@ -36,16 +40,18 @@ K = 5
 CACHE_BYTES = 24_000
 
 
-@pytest.fixture(scope="module")
-def pipeline(micro_dataset):
-    return build_caching_pipeline(
-        micro_dataset,
-        method="HC-O",
-        tau=5,
-        cache_bytes=CACHE_BYTES,
-        index_name="linear",
+def build_linear(dataset, method="HC-O", tau=5, metrics=None):
+    spec = PipelineSpec(
+        index=IndexSection(name="linear"),
+        cache=CacheSection(method=method, tau=tau, cache_bytes=CACHE_BYTES),
         k=K,
     )
+    return spec.build(dataset=dataset, metrics=metrics)
+
+
+@pytest.fixture(scope="module")
+def pipeline(micro_dataset):
+    return build_linear(micro_dataset)
 
 
 def make_controller(pipeline, capacity=64, **kwargs):
@@ -216,12 +222,8 @@ class TestDriftController:
         dataset = pipeline.context.dataset
         controller.model.record_batch(dataset.query_log.workload[:30])
         controller.retrain()
-        from repro.core.search import CachedKNNSearch
-
-        searcher = CachedKNNSearch(
-            pipeline.context.index,
-            pipeline.context.point_file,
-            controller.cache,
+        searcher = QueryEngine.for_index(
+            pipeline.index, pipeline.point_file, controller.cache
         )
         for query in dataset.query_log.test[:4]:
             result = searcher.search(query, K)
@@ -233,14 +235,8 @@ class TestDriftController:
 class TestHotSwapDifferential:
     def test_swap_changes_no_answers(self, micro_dataset):
         """Zero bit-wrong queries during a hot swap (acceptance criterion)."""
-        adaptive = build_caching_pipeline(
-            micro_dataset, method="HC-O", tau=5,
-            cache_bytes=CACHE_BYTES, index_name="linear", k=K,
-        )
-        control = build_caching_pipeline(
-            micro_dataset, method="HC-O", tau=5,
-            cache_bytes=CACHE_BYTES, index_name="linear", k=K,
-        )
+        adaptive = build_linear(micro_dataset)
+        control = build_linear(micro_dataset)
         controller = make_controller(adaptive, engine=adaptive.engine)
         # Train on a *different* (shifted) workload so the swapped cache
         # genuinely differs from the control's.
@@ -269,10 +265,7 @@ class TestHotSwapDifferential:
 
     def test_swap_counter_increments(self, pipeline, micro_dataset):
         registry = MetricsRegistry()
-        adaptive = build_caching_pipeline(
-            micro_dataset, method="HC-O", tau=5,
-            cache_bytes=CACHE_BYTES, index_name="linear", k=K,
-        )
+        adaptive = build_linear(micro_dataset)
         controller = make_controller(
             adaptive, engine=adaptive.engine, metrics=registry
         )
@@ -283,10 +276,7 @@ class TestHotSwapDifferential:
 
 class TestWorkloadHook:
     def test_hook_records_served_queries(self, micro_dataset):
-        pipeline = build_caching_pipeline(
-            micro_dataset, method="HC-W", tau=4,
-            cache_bytes=CACHE_BYTES, index_name="linear", k=K,
-        )
+        pipeline = build_linear(micro_dataset, method="HC-W", tau=4)
         model = WindowWorkload(capacity=100)
         hook = attach_workload_hook(pipeline.engine, model=model)
         queries = micro_dataset.query_log.test[:6]
@@ -296,10 +286,7 @@ class TestWorkloadHook:
         np.testing.assert_array_equal(model.queries(), queries)
 
     def test_hook_drives_controller_retrains(self, micro_dataset):
-        pipeline = build_caching_pipeline(
-            micro_dataset, method="HC-O", tau=5,
-            cache_bytes=CACHE_BYTES, index_name="linear", k=K,
-        )
+        pipeline = build_linear(micro_dataset)
         controller = make_controller(
             pipeline, engine=pipeline.engine, trigger=EveryNQueries(4)
         )
@@ -388,15 +375,29 @@ class TestAdaptSpecBuild:
         with pytest.raises(ValueError, match="adapt"):
             spec.build(dataset=micro_dataset)
 
+    def test_snapshot_saves_the_swapped_cache(self, tiny_dataset, tmp_path):
+        """After drift hot swaps, a snapshot persists the live cache."""
+        spec = PipelineSpec(
+            cache=CacheSection(method="HC-O", tau=6, cache_bytes=16 << 10),
+            adapt=AdaptSection(enabled=True, every=20, model="window"),
+        )
+        pipeline = spec.build(dataset=tiny_dataset)
+        pool = {row.tobytes() for row in tiny_dataset.query_log.pool}
+        off_pool = [p for p in tiny_dataset.points if p.tobytes() not in pool]
+        for query in off_pool[:60]:
+            pipeline.search(query)
+        assert pipeline.drift_controller.retrains == 3
+        assert pipeline.cache is pipeline.engine.cache
+        loaded = load_snapshot(save_snapshot(tmp_path / "snap", pipeline))
+        np.testing.assert_array_equal(
+            loaded.cache.cached_ids(), pipeline.engine.cache.cached_ids()
+        )
+
 
 class TestDriftView:
     def test_drift_view_reports_observed_vs_predicted(self, micro_dataset):
         registry = MetricsRegistry()
-        pipeline = build_caching_pipeline(
-            micro_dataset, method="HC-O", tau=5,
-            cache_bytes=CACHE_BYTES, index_name="linear", k=K,
-            metrics=registry,
-        )
+        pipeline = build_linear(micro_dataset, metrics=registry)
         controller = make_controller(pipeline, engine=pipeline.engine)
         controller.model.record_batch(micro_dataset.query_log.workload[:30])
         controller.retrain()
@@ -426,3 +427,89 @@ class TestDriftView:
         assert summary["rho_hit"]["drift_recovered"] == pytest.approx(0.45)
         assert summary["rho_refine"]["drift_recovered"] is None
         assert summary["rho_refine"]["observed_delta"] == pytest.approx(-0.1)
+
+
+# ----------------------------------------------------------------------
+# Periodic retrains from a query window (paper Section 3.5)
+# ----------------------------------------------------------------------
+class TestWindowRetrain:
+    @pytest.fixture(scope="class")
+    def world(self):
+        points = clustered_dataset(800, 12, n_clusters=4, value_bits=8, seed=13)
+        return points, LinearScanIndex(len(points))
+
+    @staticmethod
+    def controller(world, k=5, tau=5, cache_bytes=40_000, model=None, **kwargs):
+        points, index = world
+        spec = TrainSpec(
+            points=points, index=index, k=k, method="HC-O", tau=tau,
+            cache_bytes=cache_bytes,
+        )
+        if model is None:
+            model = WindowWorkload()
+        return DriftController(model, spec, **kwargs)
+
+    def test_retrain_produces_working_cache(self, world):
+        points, index = world
+        controller = self.controller(world)
+        log = generate_query_log(points, pool_size=30, workload_size=150,
+                                 test_size=10, seed=1)
+        for query in log.workload:
+            controller.observe(query)
+        report = controller.retrain()
+        assert report.window_size == 150
+        assert report.cache_items > 0
+        # The retrained cache serves queries correctly.
+        engine = QueryEngine.for_index(index, PointFile(points), controller.cache)
+        result = engine.search(log.test[0], 5)
+        d = np.linalg.norm(points - log.test[0], axis=1)
+        kth = np.sort(d)[4]
+        assert np.all(d[result.ids] <= kth + 1e-9)
+
+    def test_retrain_period(self, world):
+        points, _ = world
+        controller = self.controller(
+            world, k=3, tau=4, cache_bytes=20_000, trigger=EveryNQueries(25)
+        )
+        triggered = sum(
+            controller.observe(points[i % len(points)]) for i in range(60)
+        )
+        assert triggered == 2
+        assert controller.retrains == 2
+
+    def test_retrain_adapts_to_shifted_workload(self, world):
+        """After the query distribution moves, a retrain restores hits."""
+        points, index = world
+        controller = self.controller(
+            world, cache_bytes=30_000, model=WindowWorkload(capacity=100)
+        )
+        log_a = generate_query_log(points, pool_size=20, workload_size=100,
+                                   test_size=10, seed=2)
+        for query in log_a.workload:
+            controller.observe(query)
+        controller.retrain()
+        cache_a = controller.cache
+
+        # Phase shift: a different pool of popular queries.
+        log_b = generate_query_log(points, pool_size=20, workload_size=100,
+                                   test_size=10, seed=99)
+        for query in log_b.workload:
+            controller.observe(query)
+        controller.retrain()
+        cache_b = controller.cache
+
+        def hit_ratio(cache, queries):
+            engine = QueryEngine.for_index(index, PointFile(points), cache)
+            return float(np.mean(
+                [engine.search(q, 5).stats.hit_ratio for q in queries]
+            ))
+
+        stale = hit_ratio(cache_a, log_b.test)
+        fresh = hit_ratio(cache_b, log_b.test)
+        assert fresh >= stale
+
+    def test_train_spec_rejects_bad_k_and_tau(self, world):
+        with pytest.raises(ValueError):
+            self.controller(world, k=0, tau=4, cache_bytes=100)
+        with pytest.raises(ValueError):
+            self.controller(world, k=3, tau=0, cache_bytes=100)

@@ -3,17 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.core.cache import CachePolicy
-from repro.eval.methods import (
-    METHOD_NAMES,
-    WorkloadContext,
-    build_caching_pipeline,
-    build_tree_pipeline,
-    make_cache,
-)
+from repro.eval.methods import METHOD_NAMES, WorkloadContext
 from repro.eval.reporting import format_table, write_csv
 from repro.eval.runner import Experiment, measure_m1, summarize
+from repro.spec import CacheSection, IndexSection, PipelineSpec
+from repro.spec.build import make_method_cache
 from tests.conftest import assert_valid_knn
+
+
+def spec_for(method, tau=5, cache_bytes=30_000, index_name="c2lsh", k=10, **cache):
+    return PipelineSpec(
+        index=IndexSection(name=index_name),
+        cache=CacheSection(method=method, tau=tau, cache_bytes=cache_bytes, **cache),
+        k=k,
+    )
 
 
 class TestWorkloadContext:
@@ -53,10 +56,7 @@ class TestWorkloadContext:
 class TestMethodLineup:
     @pytest.mark.parametrize("method", METHOD_NAMES)
     def test_every_method_builds_and_answers(self, tiny_dataset, tiny_context, method):
-        pipeline = build_caching_pipeline(
-            tiny_dataset, method=method, tau=5, cache_bytes=30_000,
-            context=tiny_context,
-        )
+        pipeline = spec_for(method).build(dataset=tiny_dataset, context=tiny_context)
         q = tiny_dataset.query_log.test[0]
         res = pipeline.search(q, 10)
         assert len(res.ids) == 10
@@ -67,9 +67,8 @@ class TestMethodLineup:
         q = tiny_dataset.query_log.test[3]
         reference = None
         for method in ("NO-CACHE", "EXACT", "HC-W", "HC-O", "C-VA"):
-            pipeline = build_caching_pipeline(
-                tiny_dataset, method=method, tau=5, cache_bytes=30_000,
-                context=tiny_context,
+            pipeline = spec_for(method).build(
+                dataset=tiny_dataset, context=tiny_context
             )
             got = frozenset(pipeline.search(q, 10).ids.tolist())
             cand = tiny_context.index.candidates(q, 10, None)
@@ -82,32 +81,28 @@ class TestMethodLineup:
 
     def test_unknown_method(self, tiny_dataset):
         with pytest.raises(ValueError):
-            build_caching_pipeline(tiny_dataset, method="HC-X")
+            spec_for("HC-X").build(dataset=tiny_dataset)
 
     @pytest.mark.parametrize(
         "index_name", ["c2lsh", "e2lsh", "multiprobe", "vafile", "vaplus", "linear"]
     )
     def test_every_index_drives_the_pipeline(self, micro_dataset, index_name):
-        pipeline = build_caching_pipeline(
-            micro_dataset, method="HC-D", tau=5, cache_bytes=20_000,
-            index_name=index_name, k=5,
-        )
+        spec = spec_for("HC-D", cache_bytes=20_000, index_name=index_name, k=5)
+        pipeline = spec.build(dataset=micro_dataset)
         res = pipeline.search(micro_dataset.query_log.test[0], 5)
         assert 0 < len(res.ids) <= 5
 
     def test_cva_bits_fit_budget(self, tiny_dataset, tiny_context):
         # 20 KB: 4 bits/dim (one word per 16-d point) holds all 2000 points.
         budget = 20_000
-        cache = make_cache(tiny_context, "C-VA", cache_bytes=budget)
+        cache = make_method_cache(tiny_context, "C-VA", cache_bytes=budget)
         assert cache.used_bytes <= budget
         assert cache.num_items == tiny_dataset.num_points
         assert cache.encoder.bits <= 4
 
     def test_lru_policy_supported(self, tiny_dataset, tiny_context):
-        pipeline = build_caching_pipeline(
-            tiny_dataset, method="HC-D", tau=5, cache_bytes=30_000,
-            policy=CachePolicy.LRU, context=tiny_context,
-        )
+        spec = spec_for("HC-D", policy="lru")
+        pipeline = spec.build(dataset=tiny_dataset, context=tiny_context)
         q = tiny_dataset.query_log.test[0]
         first = pipeline.search(q, 10)
         second = pipeline.search(q, 10)
@@ -118,22 +113,23 @@ class TestTreePipelines:
     @pytest.mark.parametrize("index_name", ["idistance", "vptree", "mtree"])
     @pytest.mark.parametrize("method", ["NO-CACHE", "EXACT", "HC-O"])
     def test_exactness(self, micro_dataset, index_name, method):
-        pipeline = build_tree_pipeline(
-            micro_dataset, index_name, method, tau=5, cache_bytes=30_000, k=5
-        )
+        spec = spec_for(method, index_name=index_name, k=5)
+        pipeline = spec.build(dataset=micro_dataset)
         for q in micro_dataset.query_log.test[:5]:
             res = pipeline.search(q, 5)
             assert_valid_knn(micro_dataset.points, q, 5, res.ids)
 
     def test_unknown_index(self, micro_dataset):
         with pytest.raises(ValueError):
-            build_tree_pipeline(micro_dataset, "rtree-bogus", "EXACT")
+            spec_for("EXACT", index_name="rtree-bogus").build(dataset=micro_dataset)
 
 
 class TestRunner:
-    def test_experiment_end_to_end(self, tiny_dataset, tiny_context):
+    @pytest.mark.parametrize("index_name", ["c2lsh", "idistance", "vptree"])
+    def test_experiment_end_to_end(self, tiny_dataset, tiny_context, index_name):
         res = Experiment(
-            tiny_dataset, method="HC-O", tau=5, cache_bytes=30_000
+            tiny_dataset, method="HC-O", tau=5, cache_bytes=30_000,
+            index_name=index_name,
         ).run(context=tiny_context)
         assert res.num_queries == len(tiny_dataset.query_log.test)
         assert 0 <= res.hit_ratio <= 1

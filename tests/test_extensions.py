@@ -7,7 +7,7 @@ from repro.core.builders import build_equidepth
 from repro.core.cache import ApproximateCache, ExactCache, NoCache
 from repro.core.domain import ValueDomain
 from repro.core.encoder import GlobalHistogramEncoder
-from repro.core.search import CachedKNNSearch
+from repro.engine import QueryEngine
 from repro.extensions.clustering import dbscan
 from repro.extensions.join import knn_join, knn_self_join
 from repro.extensions.ranges import range_search
@@ -30,7 +30,7 @@ def world(micro_points):
 class TestKnnJoin:
     def test_join_matches_bruteforce(self, world):
         points, pf, index, cache = world
-        searcher = CachedKNNSearch(index, pf, cache)
+        searcher = QueryEngine.for_index(index, pf, cache)
         queries = points[:12] + 0.25
         result = knn_join(queries, searcher, k=4)
         assert result.ids.shape == (12, 4)
@@ -40,8 +40,8 @@ class TestKnnJoin:
     def test_cache_reduces_join_io(self, world):
         points, _, index, cache = world
         queries = points[:30] + 0.25
-        cached = knn_join(queries, CachedKNNSearch(index, PointFile(points), cache), 4)
-        plain = knn_join(queries, CachedKNNSearch(index, PointFile(points), NoCache()), 4)
+        cached = knn_join(queries, QueryEngine.for_index(index, PointFile(points), cache), 4)
+        plain = knn_join(queries, QueryEngine.for_index(index, PointFile(points), NoCache()), 4)
         assert np.array_equal(
             np.sort(cached.ids, axis=1), np.sort(plain.ids, axis=1)
         )
@@ -50,7 +50,7 @@ class TestKnnJoin:
 
     def test_self_join_excludes_self(self, world):
         points, pf, index, cache = world
-        searcher = CachedKNNSearch(index, pf, cache)
+        searcher = QueryEngine.for_index(index, pf, cache)
         result = knn_self_join(searcher, k=3)
         for i, row in enumerate(result.ids[:40]):
             assert i not in row.tolist()
@@ -58,7 +58,7 @@ class TestKnnJoin:
 
     def test_self_join_including_self(self, world):
         points, pf, index, cache = world
-        searcher = CachedKNNSearch(index, pf, cache)
+        searcher = QueryEngine.for_index(index, pf, cache)
         result = knn_self_join(searcher, k=3, exclude_self=False)
         # Each point is its own nearest neighbor (distance 0)...
         # unless it has an exact duplicate; membership is the invariant.
@@ -70,7 +70,7 @@ class TestKnnJoin:
     def test_invalid_k(self, world):
         points, pf, index, cache = world
         with pytest.raises(ValueError):
-            knn_join(points[:2], CachedKNNSearch(index, pf, cache), 0)
+            knn_join(points[:2], QueryEngine.for_index(index, pf, cache), 0)
 
 
 class TestRangeSearch:

@@ -361,12 +361,15 @@ class TestDegradedAnswers:
     def test_breaker_open_cache_only_recall(self, tiny_dataset, tiny_context):
         """Forced-open breaker: complete=False, recall clears the cost
         model's cache-only hit-ratio estimate, no spurious exceptions."""
-        from repro.eval.methods import build_caching_pipeline
+        from repro.spec import CacheSection, PipelineSpec
 
         cache_bytes = int(tiny_dataset.file_bytes * 0.1)
-        pipeline = build_caching_pipeline(
-            tiny_dataset, method="EXACT", cache_bytes=cache_bytes,
-            k=10, context=tiny_context,
+        pipeline = PipelineSpec(
+            cache=CacheSection(method="EXACT", cache_bytes=cache_bytes),
+            k=10,
+        ).build(
+            dataset=tiny_dataset,
+            context=tiny_context,
             resilience=ResiliencePolicy(retry=RetryPolicy()),
         )
         queries = tiny_dataset.query_log.test

@@ -13,7 +13,8 @@ from repro.core.builders import build_knn_optimal
 from repro.data.datasets import load_dataset
 from repro.data.synthetic import clustered_dataset
 from repro.data.workload import generate_query_log
-from repro.eval.methods import WorkloadContext, build_caching_pipeline
+from repro.eval.methods import WorkloadContext
+from repro.spec import CacheSection, PipelineSpec
 
 
 class TestDataDeterminism:
@@ -64,10 +65,12 @@ class TestPipelineDeterminism:
 
     def test_search_is_deterministic_across_pipelines(self, ctx):
         ds, context = ctx
-        a = build_caching_pipeline(ds, method="HC-O", tau=5,
-                                   cache_bytes=30_000, context=context)
-        b = build_caching_pipeline(ds, method="HC-O", tau=5,
-                                   cache_bytes=30_000, context=context)
+        a = PipelineSpec(
+            cache=CacheSection(method="HC-O", tau=5, cache_bytes=30_000),
+        ).build(dataset=ds, context=context)
+        b = PipelineSpec(
+            cache=CacheSection(method="HC-O", tau=5, cache_bytes=30_000),
+        ).build(dataset=ds, context=context)
         for q in ds.query_log.test[:5]:
             ra, rb = a.search(q, 10), b.search(q, 10)
             assert np.array_equal(ra.ids, rb.ids)
@@ -83,8 +86,9 @@ class TestPipelineDeterminism:
 
             ds = Dataset(name="g", points=pts, value_bits=12, query_log=log)
             ctx = WorkloadContext.prepare(ds, k=5, seed=0)
-            pipe = build_caching_pipeline(ds, method="HC-O", tau=5,
-                                          cache_bytes=20_000, context=ctx)
+            pipe = PipelineSpec(
+                cache=CacheSection(method="HC-O", tau=5, cache_bytes=20_000),
+            ).build(dataset=ds, context=ctx)
             return [tuple(pipe.search(q, 5).ids.tolist()) for q in log.test]
 
         assert run() == run()

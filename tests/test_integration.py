@@ -11,11 +11,12 @@ from repro.core.encoder import GlobalHistogramEncoder
 from repro.core.histogram import Histogram
 from repro.core.multistep import multistep_knn
 from repro.core.reduction import reduce_candidates
-from repro.core.search import CachedKNNSearch
+from repro.engine import QueryEngine
 from repro.data.datasets import Dataset
 from repro.data.workload import generate_query_log
-from repro.eval.methods import WorkloadContext, build_caching_pipeline
+from repro.eval.methods import WorkloadContext
 from repro.index.linear_scan import LinearScanIndex
+from repro.spec import CacheSection, PipelineSpec
 from repro.storage.pointfile import PointFile
 from tests.conftest import assert_valid_knn
 
@@ -75,7 +76,7 @@ class TestPaperSection3Example:
         cache = ApproximateCache(enc, 1 << 10, len(points))
         cache.populate(np.array([0, 1, 2, 3]), points[:4])  # p1..p4 cached
         index = LinearScanIndex(6)  # C(q) = p1..p6
-        searcher = CachedKNNSearch(index, pf, cache)
+        searcher = QueryEngine.for_index(index, pf, cache)
         res = searcher.search(self.QUERY, 1)
         assert res.stats.refined_fetches <= 4
         assert res.ids.tolist() == [1]  # p2 = (10, 16), dist 5.10
@@ -120,12 +121,14 @@ class TestFullPipelineOnFreshData:
         log = generate_query_log(pts, pool_size=60, workload_size=500, test_size=15, seed=1)
         ds = Dataset(name="fresh", points=pts, value_bits=8, query_log=log)
         ctx = WorkloadContext.prepare(ds, index_name="c2lsh", k=8, seed=2)
-        pipeline = build_caching_pipeline(
-            ds, method="HC-O", tau=6, cache_bytes=60_000, k=8, context=ctx
-        )
-        baseline = build_caching_pipeline(
-            ds, method="NO-CACHE", k=8, context=ctx
-        )
+        pipeline = PipelineSpec(
+            cache=CacheSection(method="HC-O", tau=6, cache_bytes=60_000),
+            k=8,
+        ).build(dataset=ds, context=ctx)
+        baseline = PipelineSpec(
+            cache=CacheSection(method="NO-CACHE"),
+            k=8,
+        ).build(dataset=ds, context=ctx)
         saved, spent = 0, 0
         for q in log.test:
             res = pipeline.search(q, 8)

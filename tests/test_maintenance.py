@@ -1,106 +1,20 @@
-"""Cache maintenance: sliding windows and periodic rebuilds (§3.5)."""
+"""Cache maintenance: the sliding query window a retrain learns from (§3.5)."""
 
 import numpy as np
 import pytest
 
-from repro.core.maintenance import CacheMaintainer, SlidingWindowWorkload
-from repro.core.search import CachedKNNSearch
-from repro.data.synthetic import clustered_dataset
-from repro.data.workload import generate_query_log
-from repro.index.linear_scan import LinearScanIndex
-from repro.storage.pointfile import PointFile
-
-
-@pytest.fixture(scope="module")
-def world():
-    points = clustered_dataset(800, 12, n_clusters=4, value_bits=8, seed=13)
-    return points, LinearScanIndex(len(points))
+from repro.workload import WindowWorkload, build_workload_model
 
 
 class TestSlidingWindow:
     def test_capacity_bound(self):
-        window = SlidingWindowWorkload(capacity=5)
+        window = build_workload_model({"kind": "window", "capacity": 5})
+        assert isinstance(window, WindowWorkload)
         for i in range(9):
             window.record(np.full(3, float(i)))
         assert len(window) == 5
         assert window.queries()[0, 0] == 4.0  # oldest retained
 
-    def test_empty_window_raises(self):
-        with pytest.raises(ValueError):
-            SlidingWindowWorkload().queries()
-
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
-            SlidingWindowWorkload(capacity=0)
-
-
-class TestCacheMaintainer:
-    def test_rebuild_produces_working_cache(self, world):
-        points, index = world
-        maintainer = CacheMaintainer(
-            index, points, k=5, tau=5, cache_bytes=40_000
-        )
-        log = generate_query_log(points, pool_size=30, workload_size=150,
-                                 test_size=10, seed=1)
-        for query in log.workload:
-            maintainer.observe(query)
-        report = maintainer.rebuild()
-        assert report.window_size == 150
-        assert report.cache_items > 0
-        assert maintainer.cache is not None
-        # The rebuilt cache serves queries correctly.
-        searcher = CachedKNNSearch(index, PointFile(points), maintainer.cache)
-        result = searcher.search(log.test[0], 5)
-        d = np.linalg.norm(points - log.test[0], axis=1)
-        kth = np.sort(d)[4]
-        assert np.all(d[result.ids] <= kth + 1e-9)
-
-    def test_auto_rebuild_period(self, world):
-        points, index = world
-        maintainer = CacheMaintainer(
-            index, points, k=3, tau=4, cache_bytes=20_000, rebuild_every=25
-        )
-        triggered = sum(
-            maintainer.observe(points[i % len(points)]) for i in range(60)
-        )
-        assert triggered == 2
-        assert maintainer.rebuilds == 2
-
-    def test_rebuild_adapts_to_shifted_workload(self, world):
-        """After the query distribution moves, a rebuild restores hits."""
-        points, index = world
-        maintainer = CacheMaintainer(
-            index, points, k=5, tau=5, cache_bytes=30_000,
-            window=SlidingWindowWorkload(capacity=100),
-        )
-        log_a = generate_query_log(points, pool_size=20, workload_size=100,
-                                   test_size=10, seed=2)
-        for query in log_a.workload:
-            maintainer.observe(query)
-        maintainer.rebuild()
-        cache_a = maintainer.cache
-
-        # Phase shift: a different pool of popular queries.
-        log_b = generate_query_log(points, pool_size=20, workload_size=100,
-                                   test_size=10, seed=99)
-        for query in log_b.workload:
-            maintainer.observe(query)
-        maintainer.rebuild()
-        cache_b = maintainer.cache
-
-        def hit_ratio(cache, queries):
-            searcher = CachedKNNSearch(index, PointFile(points), cache)
-            return float(np.mean(
-                [searcher.search(q, 5).stats.hit_ratio for q in queries]
-            ))
-
-        stale = hit_ratio(cache_a, log_b.test)
-        fresh = hit_ratio(cache_b, log_b.test)
-        assert fresh >= stale
-
-    def test_validation(self, world):
-        points, index = world
-        with pytest.raises(ValueError):
-            CacheMaintainer(index, points, k=0, tau=4, cache_bytes=100)
-        with pytest.raises(ValueError):
-            CacheMaintainer(index, points, k=3, tau=0, cache_bytes=100)
+            build_workload_model({"kind": "window", "capacity": 0})

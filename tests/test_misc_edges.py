@@ -5,9 +5,9 @@ import pytest
 
 from repro.cli import main
 from repro.core.histogram import Histogram
-from repro.core.maintenance import SlidingWindowWorkload
 from repro.data.datasets import Dataset
 from repro.data.workload import QueryLog, generate_query_log
+from repro.workload import WindowWorkload
 
 
 class TestCLIBudgetPath:
@@ -64,7 +64,7 @@ class TestQueryLogEdges:
 
 class TestWindowCopySemantics:
     def test_recorded_queries_are_copies(self):
-        window = SlidingWindowWorkload(capacity=3)
+        window = WindowWorkload(capacity=3)
         q = np.array([1.0, 2.0])
         window.record(q)
         q[0] = 99.0

@@ -8,7 +8,7 @@ from repro.core.cache import ApproximateCache, LeafNodeCache, NoCache
 from repro.core.domain import ValueDomain
 from repro.core.encoder import GlobalHistogramEncoder
 from repro.core.resultcache import ResultCache, ResultCachedSearch
-from repro.core.search import CachedKNNSearch
+from repro.engine import QueryEngine
 from repro.index.linear_scan import LinearScanIndex, exact_knn
 from repro.index.mtree import MTreeIndex
 from repro.lsh.sklsh import SKLSHIndex
@@ -105,7 +105,7 @@ class TestSKLSH:
 class TestResultCache:
     @pytest.fixture()
     def searcher(self, micro_points):
-        return CachedKNNSearch(
+        return QueryEngine.for_index(
             LinearScanIndex(len(micro_points)), PointFile(micro_points), NoCache()
         )
 
@@ -153,10 +153,10 @@ class TestResultCache:
         enc = GlobalHistogramEncoder(build_equidepth(dom, 32), micro_points.shape[1])
         point_cache = ApproximateCache(enc, 1 << 14, len(micro_points))
         point_cache.populate(np.arange(len(micro_points)), micro_points)
-        base_pc = CachedKNNSearch(
+        base_pc = QueryEngine.for_index(
             LinearScanIndex(len(micro_points)), PointFile(micro_points), point_cache
         )
-        base_rc = CachedKNNSearch(
+        base_rc = QueryEngine.for_index(
             LinearScanIndex(len(micro_points)), PointFile(micro_points), NoCache()
         )
         rc = ResultCachedSearch(base_rc, ResultCache(1 << 16, micro_points.shape[1]))

@@ -27,7 +27,6 @@ from repro.core.builders import build_equidepth
 from repro.core.cache import ApproximateCache, CachePolicy
 from repro.core.domain import ValueDomain
 from repro.core.encoder import GlobalHistogramEncoder
-from repro.eval.methods import build_caching_pipeline
 from repro.mutate import (
     MutableDataset,
     MutablePipeline,
@@ -37,6 +36,7 @@ from repro.mutate import (
 )
 from repro.mutate.pipeline import MutationCounters
 from repro.obs.registry import MetricsRegistry
+from repro.spec import CacheSection, IndexSection, PipelineSpec
 
 
 # ----------------------------------------------------------------------
@@ -185,15 +185,12 @@ def test_parse_predicate_and_mask():
 # Serve: mutation fence
 # ----------------------------------------------------------------------
 def _mutable_pipeline(micro_dataset, method="EXACT", index_name="linear", k=3):
-    inner = build_caching_pipeline(
-        micro_dataset,
-        method=method,
-        tau=8,
-        cache_bytes=1 << 14,
-        index_name=index_name,
+    spec = PipelineSpec(
+        index=IndexSection(name=index_name),
+        cache=CacheSection(method=method, tau=8, cache_bytes=1 << 14),
         k=k,
     )
-    return MutablePipeline(inner)
+    return MutablePipeline(spec.build(dataset=micro_dataset))
 
 
 def test_server_mutation_fence_splits_batches(micro_dataset):
@@ -280,21 +277,16 @@ def test_open_loop_interleaves_churn(micro_dataset):
 # SpecError (shard + replica) and its CLI rendering
 # ----------------------------------------------------------------------
 def test_server_from_spec_shard_plus_replica_is_typed(tiny_dataset):
-    import dataclasses
-
     from repro.serve import server_from_spec
     from repro.spec import SpecError
-    from repro.spec.build import spec_from_kwargs
     from repro.spec.sections import ReplicaSection, ShardSection
 
-    spec = spec_from_kwargs(
-        dataset=tiny_dataset, method="HC-O", tau=8, cache_bytes=1 << 14,
-        index_name="linear", k=5,
-    )
-    spec = dataclasses.replace(
-        spec,
+    spec = PipelineSpec(
+        index=IndexSection(name="linear"),
+        cache=CacheSection(method="HC-O", tau=8, cache_bytes=1 << 14),
         shard=ShardSection(n_shards=2),
         replica=ReplicaSection(enabled=True, n_replicas=2),
+        k=5,
     )
     with pytest.raises(SpecError) as excinfo:
         server_from_spec(spec, dataset=tiny_dataset)
@@ -425,3 +417,30 @@ def test_serve_summary_mutation_block():
     assert block["mutations_applied_total"] == 4
     assert block["fenced_batches"] == 2
     assert block["cache_patched_total"] == 0
+
+
+# ----------------------------------------------------------------------
+# Mutating a snapshot-loaded pipeline
+# ----------------------------------------------------------------------
+def test_loaded_snapshot_mutates_like_the_built_pipeline(tiny_dataset, tmp_path):
+    """``MutablePipeline`` takes points, index, file and k from any Pipeline."""
+    from repro.artifacts.snapshot import load_snapshot, save_snapshot
+
+    spec = PipelineSpec(
+        cache=CacheSection(method="HC-O", tau=6, cache_bytes=16 << 10)
+    )
+    built = spec.build(dataset=tiny_dataset)
+    loaded = load_snapshot(save_snapshot(tmp_path / "snap", built), mmap=False)
+    rng = np.random.default_rng(5)
+    rows = tiny_dataset.points[rng.integers(0, tiny_dataset.num_points, 8)]
+    queries = tiny_dataset.query_log.test[:10]
+    answers = []
+    for inner in (built, loaded):
+        mutable = MutablePipeline(inner)
+        mutable.insert(rows)
+        mutable.delete(np.arange(0, 40, 5))
+        answers.append(mutable.search_many(queries))
+    for got, want in zip(*answers):
+        assert np.array_equal(got.ids, want.ids)
+        assert np.array_equal(got.distances, want.distances)
+        assert np.array_equal(got.exact_mask, want.exact_mask)

@@ -39,7 +39,7 @@ from repro.mutate import (
     restore_pipeline,
     save_churn_state,
 )
-from repro.spec.build import build_pipeline, spec_from_kwargs
+from repro.spec import CacheSection, IndexSection, PipelineSpec
 from repro.spec.registry import TREE_INDEX_NAMES
 
 SEED = 20260808
@@ -67,17 +67,15 @@ PREDICATE = parse_predicate("label<=6")
 
 
 def build_mutable(dataset, index_name, method, kernel) -> MutablePipeline:
-    spec = spec_from_kwargs(
-        dataset=dataset,
-        method=method,
-        tau=TAU,
-        cache_bytes=CACHE_BYTES,
-        index_name=index_name,
+    spec = PipelineSpec(
+        index=IndexSection(name=index_name),
+        cache=CacheSection(
+            method=method, tau=TAU, cache_bytes=CACHE_BYTES, kernel=kernel
+        ),
         k=K,
         seed=SEED,
-        kernel=kernel,
     )
-    inner = build_pipeline(spec, dataset=dataset)
+    inner = spec.build(dataset=dataset)
     if index_name in TREE_INDEX_NAMES:
         pipeline = MutablePipeline(
             inner, workload=dataset.query_log.workload, k=K

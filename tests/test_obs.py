@@ -15,7 +15,6 @@ import pytest
 
 from repro.core.cache import ApproximateCache, NoCache
 from repro.engine.context import PhaseHook
-from repro.eval.methods import build_caching_pipeline, build_tree_pipeline
 from repro.eval.runner import Experiment
 from repro.obs import CacheTelemetry, Counter, FixedHistogram, Gauge, MetricsRegistry
 from repro.obs.hooks import MetricsHook
@@ -24,6 +23,7 @@ from repro.obs.reporter import (
     observed_vs_predicted,
     publish_cache_metrics,
 )
+from repro.spec import CacheSection, IndexSection, PipelineSpec
 
 
 class TestCounter:
@@ -201,8 +201,8 @@ class TestCacheTelemetry:
         assert a.lookups == 0 and a.snapshot()["rho_hit"] == 0.0
 
     def test_caches_count_lookups(self, tiny_dataset, tiny_context):
-        pipeline = build_caching_pipeline(
-            tiny_dataset, method="HC-O", context=tiny_context
+        pipeline = PipelineSpec(cache=CacheSection(method="HC-O")).build(
+            dataset=tiny_dataset, context=tiny_context
         )
         query = tiny_dataset.query_log.test[0]
         before = pipeline.cache.telemetry.lookup_calls
@@ -220,8 +220,8 @@ class TestCacheTelemetry:
 
 class TestPublishCacheMetrics:
     def test_mirrors_telemetry_and_occupancy(self, tiny_dataset, tiny_context):
-        pipeline = build_caching_pipeline(
-            tiny_dataset, method="HC-O", context=tiny_context
+        pipeline = PipelineSpec(cache=CacheSection(method="HC-O")).build(
+            dataset=tiny_dataset, context=tiny_context
         )
         pipeline.search(tiny_dataset.query_log.test[0])
         reg = MetricsRegistry()
@@ -271,8 +271,8 @@ class TestMetricsHookAggregation:
     ):
         """Registry totals == sums over QueryStats, in both modes."""
         reg = MetricsRegistry()
-        pipeline = build_caching_pipeline(
-            tiny_dataset, method="HC-O", context=tiny_context, metrics=reg
+        pipeline = PipelineSpec(cache=CacheSection(method="HC-O")).build(
+            dataset=tiny_dataset, context=tiny_context, metrics=reg
         )
         queries = tiny_dataset.query_log.test[:8]
         if batched:
@@ -287,8 +287,8 @@ class TestMetricsHookAggregation:
 
     def test_phase_page_read_attribution(self, tiny_dataset, tiny_context):
         reg = MetricsRegistry()
-        pipeline = build_caching_pipeline(
-            tiny_dataset, method="NO-CACHE", context=tiny_context, metrics=reg
+        pipeline = PipelineSpec(cache=CacheSection(method="NO-CACHE")).build(
+            dataset=tiny_dataset, context=tiny_context, metrics=reg
         )
         for q in tiny_dataset.query_log.test[:4]:
             pipeline.search(q)
@@ -304,8 +304,8 @@ class TestMetricsHookAggregation:
 
     def test_live_ratio_gauges(self, tiny_dataset, tiny_context):
         reg = MetricsRegistry()
-        pipeline = build_caching_pipeline(
-            tiny_dataset, method="HC-O", context=tiny_context, metrics=reg
+        pipeline = PipelineSpec(cache=CacheSection(method="HC-O")).build(
+            dataset=tiny_dataset, context=tiny_context, metrics=reg
         )
         stats = [
             pipeline.search(q).stats for q in tiny_dataset.query_log.test[:6]
@@ -318,10 +318,10 @@ class TestMetricsHookAggregation:
 
     def test_tree_queries_feed_tree_counters(self, micro_dataset):
         reg = MetricsRegistry()
-        pipeline = build_tree_pipeline(
-            micro_dataset, index_name="idistance", method="EXACT",
-            cache_bytes=1 << 12, metrics=reg,
-        )
+        pipeline = PipelineSpec(
+            index=IndexSection(name="idistance"),
+            cache=CacheSection(method="EXACT", cache_bytes=1 << 12),
+        ).build(dataset=micro_dataset, metrics=reg)
         stats = [
             pipeline.search(q, 5).stats for q in micro_dataset.query_log.test[:4]
         ]
@@ -348,12 +348,11 @@ class TestMetricsNeutrality:
     @pytest.mark.parametrize("batched", [False, True])
     def test_results_and_io_unchanged(self, tiny_dataset, tiny_context, batched):
         """Enabling metrics changes neither results nor I/O counts."""
-        plain = build_caching_pipeline(
-            tiny_dataset, method="HC-O", context=tiny_context
+        plain = PipelineSpec(cache=CacheSection(method="HC-O")).build(
+            dataset=tiny_dataset, context=tiny_context
         )
-        metered = build_caching_pipeline(
-            tiny_dataset, method="HC-O", context=tiny_context,
-            metrics=MetricsRegistry(),
+        metered = PipelineSpec(cache=CacheSection(method="HC-O")).build(
+            dataset=tiny_dataset, context=tiny_context, metrics=MetricsRegistry()
         )
         queries = tiny_dataset.query_log.test[:8]
         if batched:
@@ -386,8 +385,8 @@ class TestBatchProbeAttribution:
         """Regression: the chunk's union cache probe ran under a throwaway
         context, so its wall time vanished from every per-query timing."""
         spy = _BatchProbeSpy()
-        pipeline = build_caching_pipeline(
-            tiny_dataset, method="HC-O", context=tiny_context
+        pipeline = PipelineSpec(cache=CacheSection(method="HC-O")).build(
+            dataset=tiny_dataset, context=tiny_context
         )
         pipeline.engine.hooks = (spy,)
         queries = tiny_dataset.query_log.test[:6]
@@ -397,8 +396,8 @@ class TestBatchProbeAttribution:
 
     def test_batch_probe_phase_in_metrics(self, tiny_dataset, tiny_context):
         reg = MetricsRegistry()
-        pipeline = build_caching_pipeline(
-            tiny_dataset, method="HC-O", context=tiny_context, metrics=reg
+        pipeline = PipelineSpec(cache=CacheSection(method="HC-O")).build(
+            dataset=tiny_dataset, context=tiny_context, metrics=reg
         )
         pipeline.search_many(tiny_dataset.query_log.test[:6])
         hist = reg.get("engine_phase_seconds", phase="batch_probe")
@@ -408,8 +407,8 @@ class TestBatchProbeAttribution:
 class TestObservedVsPredicted:
     def test_drift_view(self, tiny_dataset, tiny_context):
         reg = MetricsRegistry()
-        pipeline = build_caching_pipeline(
-            tiny_dataset, method="HC-O", context=tiny_context, metrics=reg
+        pipeline = PipelineSpec(cache=CacheSection(method="HC-O")).build(
+            dataset=tiny_dataset, context=tiny_context, metrics=reg
         )
         for q in tiny_dataset.query_log.test[:6]:
             pipeline.search(q)

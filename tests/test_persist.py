@@ -1,27 +1,16 @@
-"""Persistence roundtrips for histograms, encoders and datasets."""
+"""Persistence roundtrips: the dataset ``.npz`` file and encoder codecs."""
 
 import numpy as np
 import pytest
 
+from repro.artifacts.errors import ArtifactError, FormatVersionError
+from repro.artifacts.legacy import _FORMAT_VERSION, load_dataset_file, save_dataset
+from repro.artifacts.state import encoder_state, restore_encoder
 from repro.core.builders import build_equidepth, build_knn_optimal
 from repro.core.domain import ValueDomain
-from repro.core.encoder import (
-    ExactEncoder,
-    GlobalHistogramEncoder,
-    IndividualHistogramEncoder,
-)
+from repro.core.encoder import GlobalHistogramEncoder, IndividualHistogramEncoder
 from repro.data.datasets import Dataset
 from repro.data.workload import generate_query_log
-from repro.persist import (
-    _FORMAT_VERSION,
-    FormatVersionError,
-    load_dataset_file,
-    load_encoder,
-    load_histogram,
-    save_dataset,
-    save_encoder,
-    save_histogram,
-)
 
 
 @pytest.fixture()
@@ -30,66 +19,25 @@ def points():
     return np.rint(rng.uniform(0, 255, size=(150, 6)))
 
 
-class TestHistogramRoundtrip:
-    def test_with_frequencies(self, tmp_path, points):
-        dom = ValueDomain.from_points(points)
-        hist = build_equidepth(dom, 16)
-        path = save_histogram(tmp_path / "h.npz", hist)
-        loaded = load_histogram(path)
-        assert np.array_equal(loaded.lowers, hist.lowers)
-        assert np.array_equal(loaded.uppers, hist.uppers)
-        assert np.array_equal(loaded.frequencies, hist.frequencies)
-
-    def test_without_frequencies(self, tmp_path):
-        from repro.core.histogram import Histogram
-
-        hist = Histogram(np.array([0.0, 5.0]), np.array([4.0, 9.0]))
-        loaded = load_histogram(save_histogram(tmp_path / "h.npz", hist))
-        assert loaded.frequencies is None
-
-    def test_missing_version(self, tmp_path):
-        np.savez(tmp_path / "bad.npz", lowers=np.zeros(1), uppers=np.ones(1))
-        with pytest.raises(FormatVersionError) as exc_info:
-            load_histogram(tmp_path / "bad.npz")
-        err = exc_info.value
-        assert isinstance(err, ValueError)  # back-compat catch sites
-        assert err.found is None
-        assert err.expected == _FORMAT_VERSION
-        assert "no format version" in str(err)
-        assert "bad.npz" in str(err)
-
-    def test_wrong_version(self, tmp_path):
-        np.savez(
-            tmp_path / "future.npz",
-            version=np.array([99]),
-            lowers=np.zeros(1),
-            uppers=np.ones(1),
-        )
-        with pytest.raises(FormatVersionError) as exc_info:
-            load_histogram(tmp_path / "future.npz")
-        err = exc_info.value
-        assert err.found == 99
-        assert err.expected == _FORMAT_VERSION
-        assert "found format version 99" in str(err)
-        assert f"expected version {_FORMAT_VERSION}" in str(err)
-        assert "future.npz" in str(err)
+def roundtrip(encoder):
+    return restore_encoder(*encoder_state(encoder))
 
 
 class TestEncoderRoundtrip:
-    def test_global(self, tmp_path, points):
+    def test_global(self, points):
         dom = ValueDomain.from_points(points)
         enc = GlobalHistogramEncoder(build_knn_optimal(dom, dom.counts.astype(float), 16), 6)
-        loaded = load_encoder(save_encoder(tmp_path / "e.npz", enc))
+        loaded = roundtrip(enc)
         assert isinstance(loaded, GlobalHistogramEncoder)
         assert np.array_equal(loaded.encode(points), enc.encode(points))
 
-    def test_individual(self, tmp_path, points):
+    def test_individual(self, points):
         hists = [
             build_equidepth(ValueDomain.from_column(points[:, j]), 8)
             for j in range(points.shape[1])
         ]
         enc = IndividualHistogramEncoder(hists)
-        loaded = load_encoder(save_encoder(tmp_path / "e.npz", enc))
+        loaded = roundtrip(enc)
         assert isinstance(loaded, IndividualHistogramEncoder)
         codes = enc.encode(points)
         assert np.array_equal(loaded.encode(points), codes)
@@ -97,9 +45,9 @@ class TestEncoderRoundtrip:
         lo_b, hi_b = loaded.rectangles(codes)
         assert np.allclose(lo_a, lo_b) and np.allclose(hi_a, hi_b)
 
-    def test_unsupported_encoder(self, tmp_path):
-        with pytest.raises(TypeError):
-            save_encoder(tmp_path / "e.npz", ExactEncoder(4, 8))
+    def test_unsupported_encoder(self):
+        with pytest.raises(ArtifactError):
+            encoder_state(object())
 
 
 class TestDatasetRoundtrip:
@@ -118,3 +66,25 @@ class TestDatasetRoundtrip:
         ds = Dataset(name="bare", points=points, value_bits=8)
         loaded = load_dataset_file(save_dataset(tmp_path / "d.npz", ds))
         assert loaded.query_log is None
+
+    def test_missing_version(self, tmp_path, points):
+        np.savez(tmp_path / "bad.npz", points=points)
+        with pytest.raises(FormatVersionError) as exc_info:
+            load_dataset_file(tmp_path / "bad.npz")
+        err = exc_info.value
+        assert isinstance(err, ValueError)  # back-compat catch sites
+        assert err.found is None
+        assert err.expected == _FORMAT_VERSION
+        assert "no format version" in str(err)
+        assert "bad.npz" in str(err)
+
+    def test_wrong_version(self, tmp_path, points):
+        np.savez(tmp_path / "future.npz", version=np.array([99]), points=points)
+        with pytest.raises(FormatVersionError) as exc_info:
+            load_dataset_file(tmp_path / "future.npz")
+        err = exc_info.value
+        assert err.found == 99
+        assert err.expected == _FORMAT_VERSION
+        assert "found format version 99" in str(err)
+        assert f"expected version {_FORMAT_VERSION}" in str(err)
+        assert "future.npz" in str(err)

@@ -17,7 +17,7 @@ from repro.core.builders import (
 from repro.core.cache import ApproximateCache, CachePolicy, ExactCache
 from repro.core.domain import ValueDomain
 from repro.core.encoder import GlobalHistogramEncoder
-from repro.core.search import CachedKNNSearch
+from repro.engine import QueryEngine
 from repro.index.linear_scan import LinearScanIndex
 from repro.storage.pointfile import PointFile
 from tests.conftest import assert_valid_knn
@@ -55,7 +55,7 @@ def test_property_any_cache_preserves_results(world):
     cache = ApproximateCache(encoder, capacity, n, policy=policy)
     if policy is CachePolicy.HFF:
         cache.populate(np.arange(n), points)
-    searcher = CachedKNNSearch(LinearScanIndex(n), PointFile(points), cache)
+    searcher = QueryEngine.for_index(LinearScanIndex(n), PointFile(points), cache)
     for qi in rng.choice(n, size=3, replace=False):
         query = points[qi] + rng.normal(scale=0.3, size=d)
         result = searcher.search(query, k)
@@ -72,12 +72,12 @@ def test_property_exact_cache_is_never_worse_than_no_cache(seed, k):
     points = np.rint(rng.uniform(0, 127, size=(120, 6)))
     cache = ExactCache(6, 1 << 16, len(points))
     cache.populate(np.arange(len(points)), points)
-    cached = CachedKNNSearch(
+    cached = QueryEngine.for_index(
         LinearScanIndex(len(points)), PointFile(points), cache
     )
     from repro.core.cache import NoCache
 
-    plain = CachedKNNSearch(
+    plain = QueryEngine.for_index(
         LinearScanIndex(len(points)), PointFile(points), NoCache()
     )
     query = points[0] + 0.5

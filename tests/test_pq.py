@@ -6,7 +6,7 @@ import pytest
 from repro.core.bounds import rectangle_bounds
 from repro.core.cache import ApproximateCache
 from repro.core.pq import PQEncoder
-from repro.core.search import CachedKNNSearch
+from repro.engine import QueryEngine
 from repro.index.linear_scan import LinearScanIndex
 from repro.storage.pointfile import PointFile
 from tests.conftest import assert_valid_knn
@@ -82,7 +82,7 @@ class TestPQInPipeline:
         enc = PQEncoder(points, n_subspaces=4, bits=5)
         cache = ApproximateCache(enc, 1 << 14, len(points))
         cache.populate(np.arange(len(points)), points)
-        searcher = CachedKNNSearch(
+        searcher = QueryEngine.for_index(
             LinearScanIndex(len(points)), PointFile(points), cache
         )
         for qi in (0, 99, 300):
@@ -96,10 +96,10 @@ class TestPQInPipeline:
         enc = PQEncoder(points, n_subspaces=4, bits=5)
         cache = ApproximateCache(enc, 1 << 14, len(points))
         cache.populate(np.arange(len(points)), points)
-        cached = CachedKNNSearch(
+        cached = QueryEngine.for_index(
             LinearScanIndex(len(points)), PointFile(points), cache
         )
-        plain = CachedKNNSearch(
+        plain = QueryEngine.for_index(
             LinearScanIndex(len(points)), PointFile(points), NoCache()
         )
         q = points[3] + 0.2

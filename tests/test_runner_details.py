@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.cache import CachePolicy
-from repro.core.search import QueryStats
 from repro.data.datasets import load_dataset
+from repro.engine.stats import QueryStats
 from repro.eval.runner import Experiment, summarize
 
 

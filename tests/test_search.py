@@ -7,7 +7,7 @@ from repro.core.builders import build_equidepth, build_knn_optimal
 from repro.core.cache import ApproximateCache, CachePolicy, ExactCache, NoCache
 from repro.core.domain import ValueDomain
 from repro.core.encoder import GlobalHistogramEncoder
-from repro.core.search import CachedKNNSearch
+from repro.engine import QueryEngine
 from repro.index.linear_scan import LinearScanIndex
 from repro.storage.pointfile import PointFile
 from tests.conftest import assert_valid_knn
@@ -26,7 +26,7 @@ class TestResultQuality:
     @pytest.mark.parametrize("k", [1, 5, 13])
     def test_nocache_matches_bruteforce(self, world, k):
         points, pf, index, _ = world
-        searcher = CachedKNNSearch(index, pf, NoCache())
+        searcher = QueryEngine.for_index(index, pf, NoCache())
         for q in points[::80]:
             res = searcher.search(q + 0.5, k)
             assert_valid_knn(points, q + 0.5, k, res.ids)
@@ -36,7 +36,7 @@ class TestResultQuality:
         points, pf, index, encoder = world
         cache = ApproximateCache(encoder, 1 << 13, len(points))
         cache.populate(np.arange(len(points)), points)
-        searcher = CachedKNNSearch(index, pf, cache)
+        searcher = QueryEngine.for_index(index, pf, cache)
         for q in points[::80]:
             res = searcher.search(q + 0.5, k)
             assert_valid_knn(points, q + 0.5, k, res.ids)
@@ -45,7 +45,7 @@ class TestResultQuality:
         points, pf, index, _ = world
         cache = ExactCache(points.shape[1], 1 << 12, len(points))
         cache.populate(np.arange(len(points)), points)
-        searcher = CachedKNNSearch(index, pf, cache)
+        searcher = QueryEngine.for_index(index, pf, cache)
         for q in points[::60]:
             res = searcher.search(q, 7)
             assert_valid_knn(points, q, 7, res.ids)
@@ -54,7 +54,7 @@ class TestResultQuality:
         points, pf, index, encoder = world
         cache = ApproximateCache(encoder, 600, len(points))  # tiny cache
         cache.populate(np.arange(cache.max_items), points[: cache.max_items])
-        searcher = CachedKNNSearch(index, pf, cache)
+        searcher = QueryEngine.for_index(index, pf, cache)
         for q in points[::60]:
             res = searcher.search(q + 1.0, 5)
             assert_valid_knn(points, q + 1.0, 5, res.ids)
@@ -68,7 +68,7 @@ class TestResultQuality:
         )
         cache = ApproximateCache(encoder, 1 << 13, len(points))
         cache.populate(np.arange(len(points)), points)
-        searcher = CachedKNNSearch(index, pf, cache)
+        searcher = QueryEngine.for_index(index, pf, cache)
         for q in points[::60]:
             res = searcher.search(q, 9)
             assert_valid_knn(points, q, 9, res.ids)
@@ -81,8 +81,8 @@ class TestAccounting:
         pf_b = PointFile(points)
         cache = ApproximateCache(encoder, 1 << 13, len(points))
         cache.populate(np.arange(len(points)), points)
-        uncached = CachedKNNSearch(index, pf_a, NoCache())
-        cached = CachedKNNSearch(index, pf_b, cache)
+        uncached = QueryEngine.for_index(index, pf_a, NoCache())
+        cached = QueryEngine.for_index(index, pf_b, cache)
         q = points[5] + 0.5
         r_u = uncached.search(q, 5)
         r_c = cached.search(q, 5)
@@ -94,7 +94,7 @@ class TestAccounting:
         points, pf, index, encoder = world
         cache = ApproximateCache(encoder, 1 << 12, len(points))
         cache.populate(np.arange(cache.max_items), points[: cache.max_items])
-        searcher = CachedKNNSearch(index, pf, cache)
+        searcher = QueryEngine.for_index(index, pf, cache)
         res = searcher.search(points[0], 5)
         s = res.stats
         assert s.num_candidates == len(points)
@@ -109,7 +109,7 @@ class TestAccounting:
         cache = ApproximateCache(
             encoder, 1 << 13, len(points), policy=CachePolicy.LRU
         )
-        searcher = CachedKNNSearch(index, pf, cache)
+        searcher = QueryEngine.for_index(index, pf, cache)
         q = points[2]
         first = searcher.search(q, 5)
         assert first.stats.cache_hits == 0
@@ -120,7 +120,7 @@ class TestAccounting:
     def test_rejects_bad_k(self, world):
         points, pf, index, _ = world
         with pytest.raises(ValueError):
-            CachedKNNSearch(index, pf, NoCache()).search(points[0], 0)
+            QueryEngine.for_index(index, pf, NoCache()).search(points[0], 0)
 
 
 class TestEagerMissFetch:
@@ -132,7 +132,7 @@ class TestEagerMissFetch:
         pf = PointFile(points)
         cache = ApproximateCache(encoder, 2000, len(points))
         cache.populate(np.arange(cache.max_items), points[: cache.max_items])
-        searcher = CachedKNNSearch(index, pf, cache, eager_miss_fetch=True)
+        searcher = QueryEngine.for_index(index, pf, cache, eager_miss_fetch=True)
         for q in points[::60]:
             res = searcher.search(q + 0.5, 7)
             assert_valid_knn(points, q + 0.5, 7, res.ids)
@@ -142,8 +142,8 @@ class TestEagerMissFetch:
         pf_lazy, pf_eager = PointFile(points), PointFile(points)
         cache = ApproximateCache(encoder, 2000, len(points))
         cache.populate(np.arange(cache.max_items), points[: cache.max_items])
-        lazy = CachedKNNSearch(index, pf_lazy, cache)
-        eager = CachedKNNSearch(index, pf_eager, cache, eager_miss_fetch=True)
+        lazy = QueryEngine.for_index(index, pf_lazy, cache)
+        eager = QueryEngine.for_index(index, pf_eager, cache, eager_miss_fetch=True)
         q = points[4] + 0.3
         a = lazy.search(q, 5)
         b = eager.search(q, 5)
@@ -160,6 +160,6 @@ class TestEagerMissFetch:
         pf = PointFile(points)
         cache = ApproximateCache(encoder, 1 << 13, len(points))
         cache.populate(np.arange(len(points)), points)
-        searcher = CachedKNNSearch(index, pf, cache, eager_miss_fetch=True)
+        searcher = QueryEngine.for_index(index, pf, cache, eager_miss_fetch=True)
         res = searcher.search(points[0], 5)
         assert res.stats.hit_ratio == 1.0

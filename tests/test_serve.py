@@ -368,22 +368,21 @@ class TestHotSwap:
     ):
         """A DriftController retrain (publish-then-swap) between batches
         must not drop or corrupt a single in-flight answer."""
-        from repro.spec.build import build_pipeline, spec_from_kwargs
+        from repro.spec import CacheSection, PipelineSpec
         from repro.workload.drift import DriftController, EveryNQueries
         from repro.workload.model import WindowWorkload
         from repro.workload.train import TrainSpec
 
-        spec = spec_from_kwargs(
-            dataset=micro_dataset, method="HC-O", k=K, cache_bytes=CACHE_BYTES
+        spec = PipelineSpec(
+            cache=CacheSection(method="HC-O", cache_bytes=CACHE_BYTES), k=K
         )
-        pipeline = build_pipeline(spec, dataset=micro_dataset)
-        baseline_pipeline = build_pipeline(spec, dataset=micro_dataset)
-        context = pipeline.context
+        pipeline = spec.build(dataset=micro_dataset)
+        baseline_pipeline = spec.build(dataset=micro_dataset)
         controller = DriftController(
             WindowWorkload(capacity=256),
             TrainSpec(
-                points=context.point_file.points,
-                index=context.index,
+                points=pipeline.point_file.points,
+                index=pipeline.index,
                 k=K,
                 method="HC-O",
                 tau=spec.cache.tau,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.eval.runner import Experiment
-from repro.spec.build import build_pipeline, spec_from_kwargs
+from repro.spec.build import build_pipeline
 from repro.spec.sections import (
     CacheSection,
     DatasetSection,
@@ -95,9 +95,8 @@ class TestBuild:
             build_pipeline(spec, dataset=tiny_dataset)
 
     def test_point_pipeline_carries_spec(self, tiny_dataset, tiny_context):
-        spec = spec_from_kwargs(
-            dataset=tiny_dataset, method="HC-O", tau=8,
-            cache_bytes=1 << 16, index_name="c2lsh",
+        spec = PipelineSpec(
+            cache=CacheSection(method="HC-O", tau=8, cache_bytes=1 << 16)
         )
         pipeline = build_pipeline(
             spec, dataset=tiny_dataset, context=tiny_context
@@ -120,9 +119,8 @@ class TestBuild:
     def test_round_tripped_spec_builds_identical_pipeline(
         self, tiny_dataset, tiny_context
     ):
-        spec = spec_from_kwargs(
-            dataset=tiny_dataset, method="HC-O", tau=8,
-            cache_bytes=1 << 16, index_name="c2lsh",
+        spec = PipelineSpec(
+            cache=CacheSection(method="HC-O", tau=8, cache_bytes=1 << 16)
         )
         round_tripped = PipelineSpec.from_json(spec.to_json())
         a = build_pipeline(spec, dataset=tiny_dataset, context=tiny_context)
