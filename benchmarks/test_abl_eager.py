@@ -19,7 +19,8 @@ from common import (
     get_dataset,
 )
 from repro.engine import QueryEngine
-from repro.spec.build import make_method_cache
+from repro.spec import CacheSection
+from repro.spec.build import build_cache, cache_recipe
 
 DATASET = "nus-wide-sim"
 FRACTIONS = (0.05, 0.15, 0.3, 0.6)
@@ -30,9 +31,16 @@ def run_experiment():
     context = get_context(DATASET)
     rows = []
     for fraction in FRACTIONS:
-        cache = make_method_cache(
-            context, "HC-O", tau=DEFAULT_TAU,
-            cache_bytes=int(dataset.file_bytes * fraction),
+        cache = build_cache(
+            cache_recipe(
+                CacheSection(
+                    method="HC-O",
+                    tau=DEFAULT_TAU,
+                    cache_bytes=int(dataset.file_bytes * fraction),
+                ),
+                "c2lsh", dataset, context.k, context,
+            ),
+            dataset.points,
         )
         lazy = QueryEngine.for_index(context.index, context.point_file, cache)
         eager = QueryEngine.for_index(

@@ -24,7 +24,8 @@ from common import (
 from repro.core.cache import ApproximateCache
 from repro.core.pq import PQEncoder
 from repro.engine import QueryEngine
-from repro.spec.build import make_method_cache
+from repro.spec import CacheSection
+from repro.spec.build import build_cache, cache_recipe
 from repro.eval.runner import summarize
 
 DATASET = "nus-wide-sim"
@@ -51,7 +52,13 @@ def run_experiment():
         ])
         return result
 
-    hco = make_method_cache(context, "HC-O", tau=DEFAULT_TAU, cache_bytes=cache_bytes)
+    hco = build_cache(
+        cache_recipe(
+            CacheSection(method="HC-O", tau=DEFAULT_TAU, cache_bytes=cache_bytes),
+            "c2lsh", dataset, context.k, context,
+        ),
+        dataset.points,
+    )
     measure(hco, "HC-O", f"{DEFAULT_TAU * dataset.dim} bits/pt")
 
     # The subspace-width spectrum: from coarse blocks (classic PQ) down

@@ -23,7 +23,8 @@ from common import (
 from repro.core.cache import NoCache
 from repro.core.resultcache import ResultCache, ResultCachedSearch
 from repro.engine import QueryEngine
-from repro.spec.build import make_method_cache
+from repro.spec import CacheSection
+from repro.spec.build import build_cache, cache_recipe
 
 DATASET = "nus-wide-sim"
 
@@ -34,7 +35,13 @@ def run_experiment():
     cache_bytes = cache_bytes_for(dataset)
 
     # Point cache (HC-O).
-    point_cache = make_method_cache(context, "HC-O", tau=DEFAULT_TAU, cache_bytes=cache_bytes)
+    point_cache = build_cache(
+        cache_recipe(
+            CacheSection(method="HC-O", tau=DEFAULT_TAU, cache_bytes=cache_bytes),
+            "c2lsh", dataset, context.k, context,
+        ),
+        dataset.points,
+    )
     pc_search = QueryEngine.for_index(context.index, context.point_file, point_cache)
 
     # Result cache warmed on the workload (same budget).

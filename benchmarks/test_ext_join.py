@@ -16,7 +16,8 @@ from common import (
     get_dataset,
 )
 from repro.engine import QueryEngine
-from repro.spec.build import make_method_cache
+from repro.spec import CacheSection
+from repro.spec.build import build_cache, cache_recipe
 from repro.extensions.join import knn_join
 
 DATASET = "nus-wide-sim"
@@ -33,8 +34,16 @@ def run_experiment():
     rows = []
     results = {}
     for method in ("NO-CACHE", "EXACT", "HC-O"):
-        cache = make_method_cache(
-            context, method, tau=DEFAULT_TAU, cache_bytes=cache_bytes_for(dataset)
+        cache = build_cache(
+            cache_recipe(
+                CacheSection(
+                    method=method,
+                    tau=DEFAULT_TAU,
+                    cache_bytes=cache_bytes_for(dataset),
+                ),
+                "c2lsh", dataset, context.k, context,
+            ),
+            dataset.points,
         )
         searcher = QueryEngine.for_index(context.index, context.point_file, cache)
         join = knn_join(queries, searcher, DEFAULT_K)

@@ -13,6 +13,7 @@ Persists ``benchmarks/results/BENCH_snapshot.json``.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import pickle
@@ -66,13 +67,14 @@ def world(tmp_path_factory):
     """Build the pipeline + shard snapshots once; probes cold-start them."""
     from repro.artifacts.sharding import save_shard_snapshots
     from repro.artifacts.snapshot import save_snapshot
-    from repro.shard.factory import specs_from_method
     from repro.spec.build import build_pipeline
     from repro.spec.sections import (
         CacheSection,
         DatasetSection,
         IndexSection,
+        MetricsSection,
         PipelineSpec,
+        ShardSection,
     )
 
     root = tmp_path_factory.mktemp("snapshot-bench")
@@ -94,11 +96,13 @@ def world(tmp_path_factory):
     np.save(root / "queries.npy", queries)
 
     for n_shards in (2, 4):
-        specs = specs_from_method(
-            dataset, context, method="HC-O", tau=DEFAULT_TAU,
-            cache_bytes=CACHE_BYTES, n_shards=n_shards,
-            index_name="c2lsh", metrics=False,
+        sharded = dataclasses.replace(
+            spec,
+            shard=ShardSection(n_shards=n_shards),
+            metrics=MetricsSection(enabled=False),
         )
+        engine, specs = sharded.build_sharded(dataset=dataset, context=context)
+        engine.close()
         with open(root / f"shards-{n_shards}.pkl", "wb") as fh:
             pickle.dump(specs, fh)
         light = save_shard_snapshots(specs, root / f"shard-snap-{n_shards}")

@@ -59,6 +59,17 @@ class PointCache:
     def contains(self, ids: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def populate_hff(self, frequencies: np.ndarray, points: np.ndarray) -> int:
+        """HFF: load the most workload-frequent points first.
+
+        Args:
+            frequencies: ``(n,)`` candidate frequency of every point id
+                (``freq(p) = |{q in WL : p in C(q)}|``).
+            points: the full ``(n, d)`` dataset (indexed by id).
+        """
+        chosen = hff_order(frequencies)[: self.max_items]
+        return self.populate(chosen, points[chosen])
+
     def lookup(
         self, query: np.ndarray, ids: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -141,6 +152,28 @@ class PointCache:
         self._id_of_slot[slot] = -1
         self.telemetry.evictions += 1
         return slot
+
+
+def hff_order(
+    frequencies: np.ndarray, live: np.ndarray | None = None
+) -> np.ndarray:
+    """The HFF population order: the one copy every HFF cache fills by.
+
+    Ids by descending candidate frequency (stable, so ties break by id),
+    never-requested ids dropped, then the never-requested ids in
+    ascending order as filler for caches larger than the workload.
+    With a ``live`` mask, dead ids never appear.
+    """
+    frequencies = np.asarray(frequencies)
+    order = np.argsort(-frequencies, kind="stable")
+    order = order[frequencies[order] > 0]
+    if live is None:
+        universe = np.arange(len(frequencies))
+    else:
+        order = order[live[order]]
+        universe = np.flatnonzero(live)
+    rest = np.setdiff1d(universe, order)
+    return np.concatenate([order, rest]).astype(np.int64)
 
 
 def _normalize_ids(ids: np.ndarray) -> np.ndarray:
@@ -354,26 +387,6 @@ class ApproximateCache(PointCache):
         self.telemetry.admissions += take
         return take
 
-    def populate_hff(self, frequencies: np.ndarray, points: np.ndarray) -> int:
-        """HFF: load the most workload-frequent points first.
-
-        Args:
-            frequencies: ``(n,)`` candidate frequency of every point id
-                (``freq(p) = |{q in WL : p in C(q)}|``).
-            points: the full ``(n, d)`` dataset (indexed by id).
-        """
-        frequencies = np.asarray(frequencies)
-        order = np.argsort(-frequencies, kind="stable")
-        order = order[frequencies[order] > 0]
-        # Fill any remaining capacity with arbitrary (never-requested) points
-        # only if the workload is smaller than the cache.
-        if len(order) < self._max_items:
-            rest = np.setdiff1d(
-                np.arange(len(frequencies)), order, assume_unique=False
-            )
-            order = np.concatenate([order, rest])
-        return self.populate(order[: self._max_items], points[order[: self._max_items]])
-
     # ------------------------------------------------------------------
     def lookup(
         self, query: np.ndarray, ids: np.ndarray
@@ -537,16 +550,6 @@ class ExactCache(PointCache):
         self._data[slots] = points[:take]
         self.telemetry.admissions += take
         return take
-
-    def populate_hff(self, frequencies: np.ndarray, points: np.ndarray) -> int:
-        frequencies = np.asarray(frequencies)
-        order = np.argsort(-frequencies, kind="stable")
-        order = order[frequencies[order] > 0]
-        if len(order) < self._max_items:
-            rest = np.setdiff1d(np.arange(len(frequencies)), order)
-            order = np.concatenate([order, rest])
-        chosen = order[: self._max_items]
-        return self.populate(chosen, points[chosen])
 
     def lookup(
         self, query: np.ndarray, ids: np.ndarray

@@ -46,8 +46,9 @@ from repro.core.frequency import (
 from repro.core.histogram import Histogram
 from repro.core.multidim import RTreeBucketEncoder
 from repro.data.datasets import Dataset
+from repro.spec.build import build_disk
 from repro.spec.registry import INDEX_NAMES, build_index
-from repro.storage.disk import DiskConfig, SimulatedDisk
+from repro.storage.disk import DiskConfig
 from repro.storage.ordering import make_order
 from repro.storage.pointfile import PointFile
 
@@ -117,7 +118,7 @@ class WorkloadContext:
         order = make_order(ordering, dataset.points, seed=seed)
         point_file = PointFile(
             dataset.points,
-            disk=SimulatedDisk(disk or DiskConfig()),
+            disk=build_disk(disk or DiskConfig()),
             order=order,
             value_bytes=dataset.value_bytes,
         )

@@ -27,6 +27,7 @@ from repro.spec.sections import (
     DatasetSection,
     IndexSection,
     PipelineSpec,
+    ResilienceSection,
 )
 from repro.obs.reporter import observed_vs_predicted, publish_cache_metrics
 
@@ -110,21 +111,16 @@ class Experiment:
     #: ``MetricsRegistry`` to accumulate across experiments, or ``True``
     #: for a fresh one.  The snapshot lands on ``result.metrics``.
     metrics: bool | MetricsRegistry = False
-    #: Optional ``repro.faults.FaultSpec``: inject seeded disk faults
-    #: (the data file's simulated disk is wrapped in a ``FaultyDisk``
-    #: for the duration of the run and restored afterwards).
-    faults: object | None = None
-    #: Optional ``repro.faults.ResiliencePolicy`` guarding refinement
-    #: I/O — retries, circuit breaker, per-query deadline and degraded
-    #: cache-only answers.  Required to mask injected faults.
-    resilience: object | None = None
+    #: Seeded disk faults and the policy guarding refinement I/O
+    #: against them — retries, circuit breaker, per-query deadline and
+    #: degraded cache-only answers (the spec's resilience section).
+    resilience: ResilienceSection = field(default_factory=ResilienceSection)
 
     def to_spec(self) -> PipelineSpec:
         """The declarative :class:`PipelineSpec` of this configuration.
 
-        Faults/resilience/metrics are live objects on the experiment and
-        are passed alongside the spec at build time, so the spec records
-        only the serializable configuration.
+        The metrics registry is a live object on the experiment and is
+        passed alongside the spec at build time.
         """
         return PipelineSpec(
             dataset=DatasetSection(name=self.dataset.name, seed=self.seed),
@@ -136,6 +132,7 @@ class Experiment:
                 policy="lru" if self.policy is CachePolicy.LRU else "hff",
                 kernel=self.kernel,
             ),
+            resilience=self.resilience,
             k=self.k,
             ordering=self.ordering,
             seed=self.seed,
@@ -157,6 +154,7 @@ class Experiment:
             policy=resolve_policy(spec.cache.policy),
             seed=spec.seed,
             kernel=spec.cache.kernel,
+            resilience=spec.resilience,
             **kwargs,
         )
 
@@ -188,23 +186,18 @@ class Experiment:
             dataset=self.dataset,
             context=context,
             metrics=registry,
-            resilience=self.resilience,
         )
         if queries is None:
             if self.dataset.query_log is None:
                 raise ValueError("no queries given and dataset has no query log")
             queries = self.dataset.query_log.test
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        restore_disk = self._inject_faults(pipeline, registry)
-        try:
-            started = time.perf_counter()
-            if self.batched:
-                results = pipeline.search_many(queries, self.k)
-            else:
-                results = [pipeline.search(q, self.k) for q in queries]
-            wall = time.perf_counter() - started
-        finally:
-            restore_disk()
+        started = time.perf_counter()
+        if self.batched:
+            results = pipeline.search_many(queries, self.k)
+        else:
+            results = [pipeline.search(q, self.k) for q in queries]
+        wall = time.perf_counter() - started
         stats = [r.stats for r in results]
         result = summarize(
             stats,
@@ -225,24 +218,6 @@ class Experiment:
                 result, metrics=self._finalize_metrics(registry, pipeline)
             )
         return result
-
-    def _inject_faults(self, pipeline, registry) -> callable:
-        """Wrap the data file's disk in a ``FaultyDisk`` for this run.
-
-        The point file is shared through the ``WorkloadContext`` across
-        experiments, so the wrapper must not leak: the returned callable
-        restores the original disk and is invoked in a ``finally``.
-        """
-        if self.faults is None or not self.faults.active:
-            return lambda: None
-        from repro.faults.disk import FaultyDisk
-
-        point_file = pipeline.point_file
-        original = point_file.disk
-        point_file.disk = FaultyDisk(original, self.faults, registry=registry)
-        def restore() -> None:
-            point_file.disk = original
-        return restore
 
     def _finalize_metrics(self, registry: MetricsRegistry, pipeline) -> dict:
         """Publish cache telemetry + drift view; return the snapshot."""

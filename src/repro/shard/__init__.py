@@ -20,17 +20,13 @@ package provides:
 * :mod:`repro.shard.engine` — :class:`ShardedEngine`, the coordinator
   running "global reduce, local refine" so sharded results stay
   byte-identical to a single engine over the whole dataset;
-* :mod:`repro.shard.factory` — convenience builders wiring datasets,
-  methods and workload contexts into shard specs.
+* :mod:`repro.shard.factory` — shard specs from one global cache
+  recipe (``repro.spec.build_sharded`` is the method-level entry).
 """
 
 from repro.shard.budget import global_hff_members, split_cache_budget
 from repro.shard.engine import ShardedEngine
-from repro.shard.factory import (
-    build_shard_specs,
-    make_sharded_engine,
-    specs_from_method,
-)
+from repro.shard.factory import build_shard_specs
 from repro.shard.executors import (
     EXECUTOR_NAMES,
     ProcessExecutor,
@@ -59,8 +55,6 @@ __all__ = [
     "build_shard_runtime",
     "build_shard_specs",
     "global_hff_members",
-    "make_sharded_engine",
-    "specs_from_method",
     "make_executor",
     "merge_candidate_results",
     "merge_topk",

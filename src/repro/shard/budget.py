@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.cache import hff_order
+
 BUDGET_MODES = ("proportional", "workload", "global-hff")
 
 
@@ -75,21 +77,6 @@ def split_cache_budget(
     )
 
 
-def global_hff_order(frequencies: np.ndarray) -> np.ndarray:
-    """The HFF population order of the unsharded cache.
-
-    Mirrors ``populate_hff``: descending candidate frequency (stable, so
-    ties break by id), then any never-requested points as filler.
-    """
-    frequencies = np.asarray(frequencies)
-    order = np.argsort(-frequencies, kind="stable")
-    order = order[frequencies[order] > 0]
-    if len(order) < len(frequencies):
-        rest = np.setdiff1d(np.arange(len(frequencies)), order)
-        order = np.concatenate([order, rest])
-    return order.astype(np.int64)
-
-
 def global_hff_members(
     frequencies: np.ndarray, capacity_bytes: int, item_bytes: int
 ) -> np.ndarray:
@@ -105,4 +92,4 @@ def global_hff_members(
         raise ValueError("item_bytes must be positive")
     n = len(np.asarray(frequencies))
     max_items = min(capacity_bytes // item_bytes, n)
-    return global_hff_order(frequencies)[:max_items]
+    return hff_order(frequencies)[:max_items]

@@ -1,15 +1,11 @@
-"""Convenience wiring: dataset + method config -> shard specs -> engine.
+"""Shard specs from one global cache recipe.
 
-Two levels:
-
-* :func:`build_shard_specs` — the low-level assembly used by tests:
-  partition the points, split the cache budget, restrict the global HFF
-  cache content to each shard, and emit picklable :class:`ShardSpec`\\ s.
-* :func:`specs_from_method` / :func:`make_sharded_engine` — the
-  method-aware layer the CLI uses: maps the paper's method names
-  (NO-CACHE, EXACT, HC-*, iHC-*, mHC-R) onto shard cache recipes via a
-  shared :class:`~repro.eval.methods.WorkloadContext`, so the sharded
-  run caches exactly what the unsharded build would.
+:func:`build_shard_specs` partitions the points, splits the global
+cache recipe's budget, restricts the global HFF cache content to each
+shard, and emits picklable :class:`ShardSpec`\\ s.  The global recipe is
+the unsharded build's own (:func:`repro.spec.build.cache_recipe`, which
+:func:`repro.spec.build.build_sharded` passes here), so the sharded run
+caches exactly what the unsharded build would.
 
 Cache-budget semantics (see :mod:`repro.shard.budget`): the default
 ``global-hff`` mode performs a *content* split — each shard's capacity
@@ -26,14 +22,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.bitpack import BitPackedMatrix
-from repro.shard.budget import (
-    global_hff_members,
-    global_hff_order,
-    split_cache_budget,
-)
-from repro.shard.engine import ShardedEngine
+from repro.core.cache import hff_order
+from repro.shard.budget import global_hff_members, split_cache_budget
 from repro.shard.partition import partition_ids
-from repro.shard.spec import TREE_INDEX_NAMES, ShardSpec
+from repro.shard.spec import ShardSpec
 from repro.storage.disk import DiskConfig
 
 
@@ -54,6 +46,8 @@ def _shard_cache_specs(
     """Per-shard cache recipes from one global recipe."""
     if cache_spec is None or cache_spec.get("kind", "none") == "none":
         return [None] * len(groups)
+    # The global preload (global ids) is re-derived per shard below.
+    cache_spec = {k: v for k, v in cache_spec.items() if k != "populate_gids"}
     kind = cache_spec["kind"]
     policy = cache_spec.get("policy", "hff")
     total_bytes = int(cache_spec["capacity_bytes"])
@@ -107,7 +101,7 @@ def _shard_cache_specs(
     for s, group in enumerate(groups):
         spec = {**cache_spec, "capacity_bytes": budgets[s]}
         if policy == "hff" and frequencies is not None:
-            order = global_hff_order(frequencies)
+            order = hff_order(frequencies)
             spec["populate_gids"] = order[np.isin(order, group)]
         out.append(spec)
     return out
@@ -199,90 +193,3 @@ def build_shard_specs(
         )
         for s, group in enumerate(groups)
     ]
-
-
-# ----------------------------------------------------------------------
-# Method-aware layer (CLI / experiments)
-# ----------------------------------------------------------------------
-def method_cache_spec(
-    context,
-    method: str,
-    tau: int,
-    cache_bytes: int,
-    index_name: str,
-    kernel: str | None = None,
-) -> dict | None:
-    """The global cache recipe of a paper method name.
-
-    Thin wrapper over :func:`repro.spec.build.cache_recipe`, the
-    recipe form of the unsharded build's ``make_method_cache``, so
-    sharded runs cache exactly what the unsharded build would.
-    """
-    from repro.spec.build import cache_recipe
-
-    return cache_recipe(context, method, tau, cache_bytes, index_name, kernel=kernel)
-
-
-def specs_from_method(
-    dataset,
-    context,
-    method: str = "HC-D",
-    tau: int = 8,
-    cache_bytes: int = 1 << 20,
-    n_shards: int = 2,
-    index_name: str = "linear",
-    partition: str = "contiguous",
-    budget_mode: str = "global-hff",
-    disk: DiskConfig | None = None,
-    seed: int = 0,
-    metrics: bool = True,
-    faults=None,
-    resilience=None,
-    workload: dict | None = None,
-    kernel: str | None = None,
-) -> list[ShardSpec]:
-    """Shard specs matching an unsharded method configuration.
-
-    ``context`` must be the :class:`~repro.eval.methods.WorkloadContext`
-    of the *full* dataset — its candidate frequencies define the global
-    HFF cache content that the shards restrict.
-    """
-    return build_shard_specs(
-        dataset.points,
-        n_shards,
-        index_name=index_name,
-        cache_spec=method_cache_spec(
-            context, method, tau, cache_bytes, index_name, kernel=kernel
-        ),
-        frequencies=context.frequencies,
-        partition=partition,
-        budget_mode=budget_mode,
-        disk=disk,
-        value_bytes=dataset.value_bytes,
-        seed=seed,
-        metrics=metrics,
-        faults=faults,
-        resilience=resilience,
-        workload=workload,
-    )
-
-
-def make_sharded_engine(
-    specs: list[ShardSpec],
-    executor: str = "serial",
-    max_retries: int = 0,
-    degraded: bool = False,
-    deadline_s: float | None = None,
-    recv_timeout_s: float | None = None,
-    join_timeout_s: float = 5.0,
-) -> ShardedEngine:
-    """Build a :class:`ShardedEngine` over pre-built specs."""
-    return ShardedEngine(
-        specs,
-        executor=executor,
-        max_retries=max_retries,
-        degraded=degraded,
-        deadline_s=deadline_s,
-        recv_timeout_s=recv_timeout_s,
-        join_timeout_s=join_timeout_s,
-    )

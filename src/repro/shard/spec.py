@@ -28,25 +28,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.cache import (
-    ApproximateCache,
-    CachePolicy,
-    ExactCache,
-    LeafNodeCache,
-    NoCache,
-)
 from repro.core.multistep import multistep_knn
 from repro.engine.engine import QueryEngine
 from repro.engine.stats import QueryStats
-from repro.faults.disk import FaultyDisk
 from repro.faults.plan import FaultSpec
 from repro.faults.policy import ResiliencePolicy
 from repro.spec.registry import (
     INDEX_REGISTRY,
     TREE_INDEX_NAMES as REGISTRY_TREE_INDEX_NAMES,
 )
+from repro.spec.build import build_cache, build_disk
 from repro.spec.registry import build_index as registry_build_index
-from repro.storage.disk import DiskConfig, SimulatedDisk
+from repro.storage.disk import DiskConfig
 from repro.storage.pointfile import PointFile
 
 
@@ -65,11 +58,12 @@ class ShardSpec:
             reference to a builder callable (used by tests to inject
             custom indexes into process workers).
         index_params: builder-specific parameters (picklable dict).
-        cache_spec: cache recipe, or None for no cache.  Candidate-path
-            kinds: ``none``, ``exact``, ``approx`` (with ``encoder``),
-            each with ``capacity_bytes``, ``policy`` (``hff``/``lru``)
-            and optional ``populate_gids`` — global ids, already
-            restricted to this shard, in the global HFF population order.
+        cache_spec: cache recipe (built by
+            :func:`repro.spec.build.build_cache`), or None for no cache.
+            Candidate-path kinds: ``none``, ``exact``, ``approx`` (with
+            ``encoder``), each with ``capacity_bytes``, ``policy``
+            (``hff``/``lru``) and optional ``populate_gids`` — global
+            ids, already restricted to this shard, preloaded in order.
             Tree kind: ``leaf`` with ``capacity_bytes``, ``exact``,
             ``encoder`` and optional ``populate_workload`` queries.
         disk: simulated-disk parameters of the shard's point file.
@@ -196,79 +190,6 @@ def build_index(spec: ShardSpec):
 
 
 # ----------------------------------------------------------------------
-# Cache builders
-# ----------------------------------------------------------------------
-def _policy(cache_spec: dict) -> CachePolicy:
-    name = cache_spec.get("policy", "hff")
-    if name == "lru":
-        return CachePolicy.LRU
-    if name == "hff":
-        return CachePolicy.HFF
-    raise ValueError(f"unknown cache policy {name!r}")
-
-
-def _build_point_cache(spec: ShardSpec):
-    cache_spec = spec.cache_spec or {"kind": "none"}
-    kind = cache_spec.get("kind", "none")
-    if kind == "none":
-        return NoCache()
-    policy = _policy(cache_spec)
-    capacity = int(cache_spec["capacity_bytes"])
-    n_local = len(spec.member_ids)
-    if kind == "exact":
-        cache = ExactCache(
-            spec.points.shape[1],
-            capacity,
-            n_local,
-            value_bytes=spec.value_bytes,
-            policy=policy,
-        )
-    elif kind == "approx":
-        cache = ApproximateCache(
-            cache_spec["encoder"],
-            capacity,
-            n_local,
-            policy=policy,
-            kernel=cache_spec.get("kernel"),
-        )
-    else:
-        raise ValueError(f"unknown point-cache kind {kind!r}")
-    populate_gids = cache_spec.get("populate_gids")
-    if (
-        policy is CachePolicy.HFF
-        and populate_gids is not None
-        and len(populate_gids)
-    ):
-        local = np.searchsorted(
-            spec.member_ids, np.asarray(populate_gids, dtype=np.int64)
-        )
-        cache.populate(local, spec.points[local])
-    return cache
-
-
-def _build_leaf_cache(spec: ShardSpec, index):
-    cache_spec = spec.cache_spec or {"kind": "none"}
-    if cache_spec.get("kind", "none") == "none":
-        return None
-    if cache_spec["kind"] != "leaf":
-        raise ValueError("tree shards take a 'leaf' (or 'none') cache spec")
-    cache = LeafNodeCache(
-        cache_spec.get("encoder"),
-        int(cache_spec["capacity_bytes"]),
-        exact=bool(cache_spec.get("exact", False)),
-        value_bytes=spec.value_bytes,
-        kernel=cache_spec.get("kernel"),
-    )
-    workload = cache_spec.get("populate_workload")
-    if workload is not None and len(workload):
-        freqs = index.leaf_access_frequencies(
-            workload, int(cache_spec.get("k", 10))
-        )
-        cache.populate_by_frequency(freqs, index.leaf_contents)
-    return cache
-
-
-# ----------------------------------------------------------------------
 # The runtime
 # ----------------------------------------------------------------------
 class ShardRuntime:
@@ -292,22 +213,24 @@ class ShardRuntime:
 
             metrics = MetricsRegistry()
         self.metrics = metrics
+        self.cache = build_cache(
+            spec.cache_spec,
+            spec.points,
+            spec.value_bytes,
+            member_ids=spec.member_ids,
+            index=index if self.is_tree else None,
+        )
         if self.is_tree:
-            self.cache = _build_leaf_cache(spec, index)
             self.point_file = None
             self.engine = QueryEngine.for_tree(
                 index, self.cache, metrics=metrics
             )
         else:
-            disk = SimulatedDisk(spec.disk)
-            if spec.faults is not None and spec.faults.active:
-                disk = FaultyDisk(disk, spec.faults.build(), registry=metrics)
             self.point_file = PointFile(
                 spec.points,
-                disk=disk,
+                disk=build_disk(spec.disk, spec.faults, metrics),
                 value_bytes=spec.value_bytes,
             )
-            self.cache = _build_point_cache(spec)
             self.engine = QueryEngine.for_index(
                 index,
                 self.point_file,

@@ -13,11 +13,13 @@ describes for one caching method:
    Section-4.2 tuner (:func:`~repro.core.cost_model.optimal_tau_encoder`)
    picks ``tau*`` for the cache budget;
 5. **cache population** — an :class:`~repro.core.cache.ApproximateCache`
-   filled highest-frequency-first.
+   filled highest-frequency-first, constructed by the one cache
+   constructor :func:`repro.spec.build.build_cache`.
 
-Every other trainer in the repo — ``spec.build.make_method_cache`` (and
-through it ``build_pipeline`` / ``Experiment`` / the CLI) — delegates
-here, so a :class:`WindowWorkload` holding exactly ``WL`` trains a cache
+The offline build (``spec.build.cache_recipe`` over a prepared
+``WorkloadContext``) and this trainer share that constructor, the HFF
+order (:func:`repro.core.cache.hff_order`) and the histogram builders,
+so a :class:`WindowWorkload` holding exactly ``WL`` trains a cache
 bit-identical to the offline build (an equivalence suite enforces F',
 bucket boundaries, ``tau*`` and cache contents).
 """
@@ -34,11 +36,12 @@ from repro.core.builders import (
     build_knn_optimal,
     build_voptimal,
 )
-from repro.core.cache import ApproximateCache, CachePolicy
+from repro.core.cache import ApproximateCache, CachePolicy, hff_order
 from repro.core.cost_model import CostModel, optimal_tau_encoder
 from repro.core.domain import ValueDomain
 from repro.core.encoder import GlobalHistogramEncoder
 from repro.core.frequency import QRSet, compute_qr_distinct, fprime_global
+from repro.spec.build import build_cache
 
 #: Histogram builder per global HC method (the default encoder factory).
 _GLOBAL_BUILDERS = {
@@ -132,8 +135,8 @@ def derive_workload(
 def derivation_from_context(context) -> WorkloadDerivation:
     """Adapt a prepared ``WorkloadContext`` into a derivation.
 
-    Lets ``make_method_cache`` reuse the context's one workload scan (and
-    its memoized histograms/encoders) instead of re-deriving.
+    Lets a trainer reuse the context's one workload scan (and its
+    memoized histograms/encoders) instead of re-deriving.
     """
     return WorkloadDerivation(
         distinct=context.distinct_queries,
@@ -267,7 +270,7 @@ def _cost_model(spec: TrainSpec, deriv: WorkloadDerivation, domain) -> CostModel
 
 
 def train_cache_plan(model, spec: TrainSpec) -> CachePlan:
-    """Train one cache from a workload model: the ONLY training path.
+    """Train one cache from a workload model.
 
     Args:
         model: a :class:`~repro.workload.model.WorkloadModel`, a raw
@@ -314,12 +317,16 @@ def train_cache_plan(model, spec: TrainSpec) -> CachePlan:
             cost, spec.cache_bytes, factory, qr_points, tau_range=spec.tau_range
         )
     encoder = factory(tau)
-    cache = ApproximateCache(
-        encoder, spec.cache_bytes, len(spec.points), spec.policy,
-        kernel=spec.kernel,
-    )
+    recipe = {
+        "kind": "approx",
+        "capacity_bytes": spec.cache_bytes,
+        "policy": spec.policy.value,
+        "encoder": encoder,
+        "kernel": spec.kernel,
+    }
     if spec.policy is CachePolicy.HFF:
-        cache.populate_hff(deriv.frequencies, spec.points)
+        recipe["populate_gids"] = hff_order(deriv.frequencies)
+    cache = build_cache(recipe, spec.points)
     n_items = cost.items_for(spec.cache_bytes, encoder.bits, encoder.n_fields)
     return CachePlan(
         method=spec.method,

@@ -20,7 +20,9 @@ from repro.artifacts.sharding import (
     save_shard_snapshots,
 )
 from repro.shard.engine import ShardedEngine
-from repro.shard.factory import specs_from_method
+from repro.shard.factory import build_shard_specs
+from repro.spec import CacheSection
+from repro.spec.build import cache_recipe
 
 
 @pytest.fixture(scope="module")
@@ -31,9 +33,14 @@ def shard_world(request):
     context = WorkloadContext.prepare(
         micro_dataset, index_name="c2lsh", k=5, seed=0
     )
-    specs = specs_from_method(
-        micro_dataset, context, method="HC-O", tau=5,
-        cache_bytes=1 << 14, n_shards=2, index_name="c2lsh",
+    specs = build_shard_specs(
+        micro_dataset.points, 2, index_name="c2lsh",
+        cache_spec=cache_recipe(
+            CacheSection(method="HC-O", tau=5, cache_bytes=1 << 14),
+            "c2lsh", micro_dataset, 5, context,
+        ),
+        frequencies=context.frequencies,
+        value_bytes=micro_dataset.value_bytes,
         metrics=False,
     )
     return micro_dataset, specs

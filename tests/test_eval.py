@@ -7,7 +7,7 @@ from repro.eval.methods import METHOD_NAMES, WorkloadContext
 from repro.eval.reporting import format_table, write_csv
 from repro.eval.runner import Experiment, measure_m1, summarize
 from repro.spec import CacheSection, IndexSection, PipelineSpec
-from repro.spec.build import make_method_cache
+from repro.spec.build import build_cache, cache_recipe
 from tests.conftest import assert_valid_knn
 
 
@@ -95,7 +95,13 @@ class TestMethodLineup:
     def test_cva_bits_fit_budget(self, tiny_dataset, tiny_context):
         # 20 KB: 4 bits/dim (one word per 16-d point) holds all 2000 points.
         budget = 20_000
-        cache = make_method_cache(tiny_context, "C-VA", cache_bytes=budget)
+        cache = build_cache(
+            cache_recipe(
+                CacheSection(method="C-VA", cache_bytes=budget),
+                "c2lsh", tiny_dataset, 10, tiny_context,
+            ),
+            tiny_dataset.points,
+        )
         assert cache.used_bytes <= budget
         assert cache.num_items == tiny_dataset.num_points
         assert cache.encoder.bits <= 4

@@ -560,7 +560,7 @@ class TestShardedFaults:
         }
 
     def _build(self, setup, faults=None, policy=None, **kwargs):
-        from repro.shard import build_shard_specs, make_sharded_engine
+        from repro.shard import ShardedEngine, build_shard_specs
 
         specs = build_shard_specs(
             setup["points"], 3, index_name="linear",
@@ -568,7 +568,7 @@ class TestShardedFaults:
             frequencies=setup["frequencies"],
             faults=faults, resilience=policy,
         )
-        return make_sharded_engine(specs, **kwargs)
+        return ShardedEngine(specs, **kwargs)
 
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
     def test_masked_faults_bit_identical_across_executors(
@@ -591,7 +591,7 @@ class TestShardedFaults:
         incomplete merge of the other two instead of failing."""
         import dataclasses
 
-        from repro.shard import build_shard_specs, make_sharded_engine
+        from repro.shard import ShardedEngine, build_shard_specs
 
         unmaskable = FaultSpec(
             seed=3, transient_rate=1.0, max_consecutive=1_000_000
@@ -613,7 +613,7 @@ class TestShardedFaults:
             for s in specs
         ]
         dead = set(specs[1].member_ids)
-        with make_sharded_engine(
+        with ShardedEngine(
             specs, executor="serial", degraded=True
         ) as engine:
             results = engine.search_many(shard_setup["queries"], 5)

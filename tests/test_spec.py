@@ -7,18 +7,29 @@ through JSON/TOML rebuilds exactly the pipeline the original described.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.cli import main
+from repro.core.cache import CachePolicy
+from repro.eval.methods import WorkloadContext
 from repro.eval.runner import Experiment
+from repro.faults import FaultyDisk
+from repro.serve import server_from_spec
 from repro.spec.build import build_pipeline
 from repro.spec.sections import (
     CacheSection,
     DatasetSection,
     IndexSection,
     PipelineSpec,
+    ReplicaSection,
+    ResilienceSection,
+    ServeSection,
     ShardSection,
 )
+from repro.storage.disk import SimulatedDisk
 
 
 class TestSerialization:
@@ -160,3 +171,92 @@ class TestExperimentBridge:
         assert back.cache_bytes == exp.cache_bytes
         assert back.index_name == exp.index_name
         assert back.seed == exp.seed
+
+
+#: Faults every read; with no retries, no refinement read ever lands.
+DEAD_DISK = "rate=1.0,max_consecutive=50,seed=1"
+FAULTY = PipelineSpec(
+    cache=CacheSection(method="HC-O", cache_bytes=1024),
+    resilience=ResilienceSection(
+        enabled=True, max_retries=0, faults=DEAD_DISK
+    ),
+)
+
+
+class TestFaultsReachEveryBuild:
+    """``resilience.faults`` applies to unsharded and replica builds."""
+
+    def test_spec_build_degrades(self, tiny_dataset, tiny_context):
+        pipeline = FAULTY.build(dataset=tiny_dataset, context=tiny_context)
+        results = pipeline.search_many(tiny_dataset.query_log.test)
+        assert results
+        assert not any(r.outcome.complete for r in results)
+
+    def test_replica_pool_degrades(self, tiny_dataset, tiny_context):
+        spec = dataclasses.replace(
+            FAULTY,
+            serve=ServeSection(enabled=True),
+            replica=ReplicaSection(enabled=True, n_replicas=2),
+        )
+        server, handle = server_from_spec(
+            spec, dataset=tiny_dataset, context=tiny_context
+        )
+        try:
+            responses = [
+                server.serve_one(q) for q in tiny_dataset.query_log.test
+            ]
+        finally:
+            server.close()
+            handle.close()
+        assert responses
+        assert all(r.degraded for r in responses)
+
+    def test_cli_serve_reports_degraded(self, capsys):
+        code = main([
+            "serve", "--dataset", "tiny", "--method", "HC-O",
+            "--cache-kb", "1", "--requests", "20",
+            "--faults", DEAD_DISK, "--retries", "0",
+        ])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        at = next(
+            i for i, line in enumerate(lines) if line.startswith("offered_qps")
+        )
+        row = dict(zip(lines[at].split(), lines[at + 2].split()))
+        assert int(row["degraded"]) == 20
+
+    def test_shared_context_file_stays_fault_free(self, tiny_dataset):
+        context = WorkloadContext.prepare(
+            tiny_dataset, index_name="c2lsh", k=10, seed=0
+        )
+        faulty = FAULTY.build(dataset=tiny_dataset, context=context)
+        clean = dataclasses.replace(
+            FAULTY, resilience=ResilienceSection()
+        ).build(dataset=tiny_dataset, context=context)
+        assert isinstance(faulty.point_file.disk, FaultyDisk)
+        assert type(clean.point_file.disk) is SimulatedDisk
+        assert type(context.point_file.disk) is SimulatedDisk
+
+
+def test_sharded_build_honours_cache_policy(tiny_dataset, tiny_context):
+    """Every shard cache is LRU and starts empty; answers stay exact."""
+    spec = PipelineSpec(
+        index=IndexSection(name="c2lsh"),
+        cache=CacheSection(
+            method="HC-O", tau=8, cache_bytes=16384, policy="lru"
+        ),
+        shard=ShardSection(n_shards=2),
+    )
+    queries = tiny_dataset.query_log.test
+    engine, _ = spec.build_sharded(dataset=tiny_dataset, context=tiny_context)
+    with engine:
+        caches = [runtime.cache for runtime in engine.executor.runtimes]
+        assert [c.policy for c in caches] == [CachePolicy.LRU] * 2
+        assert [c.num_items for c in caches] == [0, 0]
+        results = engine.search_many(queries, spec.k)
+    uncached = dataclasses.replace(
+        spec, cache=CacheSection(method="NO-CACHE"), shard=ShardSection()
+    ).build(dataset=tiny_dataset, context=tiny_context)
+    for got, want in zip(results, uncached.search_many(queries)):
+        assert np.array_equal(got.ids, want.ids)
+        assert np.allclose(got.distances, want.distances)

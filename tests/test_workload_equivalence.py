@@ -14,7 +14,8 @@ import pytest
 from repro.core.cache import CachePolicy
 from repro.core.cost_model import optimal_tau_encoder
 from repro.eval.methods import WorkloadContext
-from repro.spec.build import make_method_cache
+from repro.spec import CacheSection
+from repro.spec.build import build_cache, cache_recipe
 from repro.workload import TrainSpec, WindowWorkload, train_cache_plan
 
 CACHE_BYTES = 24_000
@@ -103,8 +104,12 @@ class TestStaticEquivalence:
     @pytest.mark.parametrize("method", ["HC-W", "HC-O"])
     def test_cache_contents_are_bit_identical(self, context, window, method):
         plan = _train(context, window, method, TAU)
-        offline = make_method_cache(
-            context, method, tau=TAU, cache_bytes=CACHE_BYTES
+        offline = build_cache(
+            cache_recipe(
+                CacheSection(method=method, tau=TAU, cache_bytes=CACHE_BYTES),
+                "linear", context.dataset, context.k, context,
+            ),
+            context.dataset.points,
         )
         online_ids = _cached_ids(plan.cache)
         offline_ids = _cached_ids(offline)
