@@ -22,7 +22,6 @@ from repro.mutate.pipeline import (
     MutationBatch,
     MutationCounters,
     candidate_frequencies,
-    hff_selection,
 )
 from repro.mutate.predicate import Predicate, parse_predicate
 from repro.mutate.reference import ReferenceTwin, reference_twin
@@ -42,7 +41,6 @@ __all__ = [
     "Predicate",
     "ReferenceTwin",
     "candidate_frequencies",
-    "hff_selection",
     "load_churn_state",
     "merge_topk",
     "overlay_result",

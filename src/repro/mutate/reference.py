@@ -29,6 +29,7 @@ from repro.core.cache import (
     ExactCache,
     LeafNodeCache,
     NoCache,
+    hff_order,
 )
 from repro.engine.engine import QueryEngine
 from repro.index.idistance import IDistanceIndex
@@ -37,11 +38,7 @@ from repro.index.vafile import VAFileIndex
 from repro.lsh.c2lsh import C2LSHIndex
 from repro.lsh.e2lsh import E2LSHIndex
 from repro.lsh.multiprobe import MultiProbeLSHIndex
-from repro.mutate.pipeline import (
-    MutablePipeline,
-    candidate_frequencies,
-    hff_selection,
-)
+from repro.mutate.pipeline import MutablePipeline, candidate_frequencies
 from repro.mutate.predicate import Predicate
 from repro.storage.disk import DiskConfig, SimulatedDisk
 from repro.storage.ordering import make_order
@@ -183,7 +180,7 @@ class ReferenceTwin:
                 len(points),
                 self.data.live,
             )
-            selection = hff_selection(freq, max_items, self.data.live)
+            selection = hff_order(freq, self.data.live)[:max_items]
             cache.populate(selection, points[selection])
         return cache
 
