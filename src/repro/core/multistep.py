@@ -7,6 +7,15 @@ stops as soon as the next lower bound exceeds the k-th best distance known
 so far.  Candidates confirmed by Phase 2 participate through their upper
 bounds (they are guaranteed results and tighten the stopping threshold
 without being fetched).
+
+The stopping rule is evaluated in rounds rather than one candidate at a
+time.  A fetched distance is never below its lower bound, so the k-th
+best distance can never drop below ``floor``, the k-th smallest of the
+current estimates and the next k unfetched lower bounds.  Every unfetched
+candidate with ``lb <= floor`` would therefore be fetched by the
+one-at-a-time rule too, and a round fetches that whole run with one
+fetcher call.  The candidates fetched, their order and the result are
+those of the one-at-a-time rule; only the number of fetcher calls drops.
 """
 
 from __future__ import annotations
@@ -94,7 +103,7 @@ def multistep_knn(
 
     # Max-heap (negated) of the k best distance estimates seen so far.
     # Confirmed candidates enter with their upper bounds; fetched ones with
-    # exact distances.  entry = (-estimate, id, exact?, estimate)
+    # exact distances.  entry = (-estimate, id, exact?)
     best: list[tuple[float, int, bool]] = []
     for cid, cub in zip(confirmed_ids.tolist(), confirmed_ubs.tolist()):
         heapq.heappush(best, (-float(cub), cid, False))
@@ -104,18 +113,25 @@ def multistep_knn(
             return float("inf")
         return -best[0][0]
 
-    fetched: list[int] = []
-    fetched_dist: dict[int, float] = {}
-    for cid, lb in zip(sorted_ids.tolist(), sorted_lb.tolist()):
-        if lb > threshold():
-            break  # optimal stopping: no unfetched candidate can qualify
-        point = fetcher(np.asarray([cid], dtype=np.int64), tracker)
-        dist = float(exact_distances(query, point)[0])
-        fetched.append(cid)
-        fetched_dist[cid] = dist
-        heapq.heappush(best, (-dist, cid, True))
-        if len(best) > k:
-            heapq.heappop(best)
+    n = len(sorted_ids)
+    start = 0
+    while start < n and not sorted_lb[start] > threshold():
+        # The threshold never drops below ``floor``: fetch every candidate
+        # whose lower bound cannot exceed it in one call (at least one).
+        pool = np.concatenate(
+            [[-neg for neg, _, _ in best], sorted_lb[start : start + k]]
+        )
+        floor = np.partition(pool, k - 1)[k - 1] if len(pool) >= k else np.inf
+        stop = max(
+            start + 1, int(np.searchsorted(sorted_lb, floor, side="right"))
+        )
+        run = sorted_ids[start:stop]
+        dists = exact_distances(query, fetcher(run, tracker))
+        for cid, dist in zip(run.tolist(), dists.tolist()):
+            heapq.heappush(best, (-dist, cid, True))
+            if len(best) > k:
+                heapq.heappop(best)
+        start = stop
 
     results = sorted(((-neg, cid, exact) for neg, cid, exact in best))
     # Confirmed candidates are guaranteed results; they can never be
@@ -128,5 +144,5 @@ def multistep_knn(
         ids=ids,
         distances=dists,
         exact_mask=exact_mask,
-        fetched_ids=np.asarray(fetched, dtype=np.int64),
+        fetched_ids=sorted_ids[:start],
     )

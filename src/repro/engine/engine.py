@@ -10,10 +10,12 @@ batchable: cached codes decode to the *same* rectangles for every query,
 so the engine probes the cache once for the union of candidate ids
 across the batch, decodes each cached code exactly once, and computes
 the ``rectangle_bounds`` for all (query, candidate) pairs as one
-broadcasted NumPy operation.  Phases 1 and 3 stay per-query (candidate
-generation and the optimal multi-step stopping rule are inherently
-sequential), so results *and I/O counts* are identical to the per-query
-path — a property test enforces this for every index type.
+broadcasted NumPy operation.  Phases 1 and 3 stay per-query, so results
+*and I/O counts* are identical to the per-query path — a property test
+enforces this for every index type.  Within a query, Phase 3 fetches in
+rounds (see :mod:`repro.core.multistep`): each round reads a prefix of
+the lb-sorted candidates that the stopping rule is certain to fetch, in
+one call, instead of one candidate per call.
 
 Dynamic (LRU) caches mutate on every lookup and admission, making query
 order observable; for them ``search_many`` degrades to the sequential
@@ -411,14 +413,15 @@ class QueryEngine:
     def _protected_fetcher(self, deadline: Deadline | None):
         """The point-fetch callable the refine/eager paths must use.
 
-        Without resilience it is the raw ``PointFile.fetch``.  With it,
-        each point is fetched under breaker gating + bounded retries,
-        with the deadline checked between points — a stalled device
-        cannot overrun the budget by more than one read.  Per-point
-        granularity keeps accounting exact under retries: a failed
-        point's ``point_fetches`` increment happens only on the
-        successful attempt, and page charges are deduplicated by the
-        query tracker.
+        Without resilience it is the raw ``PointFile.fetch``, which
+        charges a whole refine round in one vectorised call.  With it,
+        the round's ids are still fetched one point at a time, each
+        under breaker gating + bounded retries, with the deadline
+        checked between points — a stalled device cannot overrun the
+        budget by more than one read.  Per-point granularity keeps
+        accounting exact under retries: a failed point's
+        ``point_fetches`` increment happens only on the successful
+        attempt, and page charges are deduplicated by the query tracker.
         """
         runtime = self.resilience
         if runtime is None and deadline is None:

@@ -2,12 +2,14 @@
 
 ``FaultyDisk`` is a drop-in stand-in for the simulated device: it
 delegates configuration, accounting and range bookkeeping to the wrapped
-disk and consults a :class:`~repro.faults.plan.FaultPlan` on every read
+disk and consults a :class:`~repro.faults.plan.FaultPlan` on every page read
 *before* the read is charged.  A retried read therefore charges exactly
 once — the invariant behind the differential (bit-identical) guarantee.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.storage.disk import DiskConfig, SimulatedDisk
@@ -94,3 +96,13 @@ class FaultyDisk:
                             kind=kind,
                         ).inc(delta)
         self.inner.read_page(page_id, tracker)
+
+    def read_pages(self, page_ids, tracker: QueryIOTracker | None = None) -> None:
+        """Charge reads of ``page_ids`` one page at a time, in order.
+
+        The plan is consulted per page exactly as a :meth:`read_page`
+        loop would, so a fault schedule lands on the same page whether a
+        caller reads one page or a whole fetch at once.
+        """
+        for page_id in np.asarray(page_ids, dtype=np.int64).ravel().tolist():
+            self.read_page(page_id, tracker)

@@ -15,6 +15,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.storage.iostats import QueryIOTracker
 
 
@@ -94,19 +96,15 @@ class BufferedPointFile:
         return self.point_file.points
 
     def fetch(self, point_ids, tracker: QueryIOTracker | None = None):
-        import numpy as np
-
+        """Read records through the pool, validated like ``PointFile.fetch``."""
         ids = np.atleast_1d(np.asarray(point_ids, dtype=np.int64))
-        span = self.point_file.pages_per_point
-        for pid in ids.tolist():
-            first = self.point_file.page_of(pid)
-            for offset in range(span):
-                page = first + offset
-                if not self.pool.access(page):
-                    self.point_file.disk.read_page(page, tracker)
-            self.point_file.disk.stats.point_fetches += 1
-            if tracker is not None:
-                tracker.point_fetches += 1
+        pages = self.point_file.pages_of(ids)
+        misses = [page for page in pages.tolist() if not self.pool.access(page)]
+        disk = self.point_file.disk
+        disk.read_pages(np.asarray(misses, dtype=np.int64), tracker)
+        disk.stats.point_fetches += len(ids)
+        if tracker is not None:
+            tracker.point_fetches += len(ids)
         return self.point_file.points[ids]
 
     def fetch_one(self, point_id: int, tracker: QueryIOTracker | None = None):

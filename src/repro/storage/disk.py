@@ -6,6 +6,8 @@ import os
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.storage.iostats import IOStats, QueryIOTracker
 
 DEFAULT_PAGE_SIZE = 4096
@@ -53,7 +55,7 @@ class DiskConfig:
             response times the paper plots.
         seq_read_latency_s: modeled cost of one *sequential* page read
             (index accesses during candidate generation).
-        blocking: when True, ``read_page`` actually sleeps
+        blocking: when True, ``read_page``/``read_pages`` actually sleep
             ``read_latency_s`` for every charged read instead of only
             counting it.  Off by default (counting-only keeps the test
             suite fast); the sharded-throughput benchmark turns it on so
@@ -137,6 +139,35 @@ class SimulatedDisk:
         self.stats.page_reads += 1
         if self.config.blocking and self.config.read_latency_s > 0:
             time.sleep(self.config.read_latency_s)
+
+    def read_pages(
+        self, page_ids: np.ndarray, tracker: QueryIOTracker | None = None
+    ) -> None:
+        """Charge reads of ``page_ids`` in array order.
+
+        Equivalent to a :meth:`read_page` loop over the array — the same
+        ``stats``, the same tracker state, and on an out-of-range page the
+        same :class:`PageRangeError` with the pages before it already
+        charged — but deduplicated against ``tracker`` in one batch call.
+        With a chaos plan attached, or a blocking device, it reads page
+        by page so each charged read is consulted or slept in order.
+        """
+        pages = np.asarray(page_ids, dtype=np.int64).ravel()
+        if self._chaos is not None or self.config.blocking:
+            for page in pages.tolist():
+                self.read_page(page, tracker)
+            return
+        bad = pages < 0
+        if self.n_pages is not None:
+            bad |= pages >= self.n_pages
+        stop = int(np.argmax(bad)) if bad.any() else len(pages)
+        charged = pages[:stop].tolist()
+        if tracker is not None:
+            self.stats.page_reads += tracker.needs_reads(charged)
+        else:
+            self.stats.page_reads += len(charged)
+        if stop < len(pages):
+            raise PageRangeError(int(pages[stop]), self.n_pages)
 
     def modeled_time(self, page_reads: int | None = None) -> float:
         """Wall-clock seconds modeled for ``page_reads`` (default: all so far)."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 
 @dataclass
@@ -63,3 +64,16 @@ class QueryIOTracker:
         self.pages_seen.add(page_id)
         self.page_reads += 1
         return True
+
+    def needs_reads(self, page_ids: Iterable[int]) -> int:
+        """Record accesses to ``page_ids``; returns how many cost a read.
+
+        Equivalent to calling :meth:`needs_read` on each page in turn: a
+        page repeated within ``page_ids`` costs one read, and a page
+        already seen by this query costs none.
+        """
+        before = len(self.pages_seen)
+        self.pages_seen.update(page_ids)
+        charged = len(self.pages_seen) - before
+        self.page_reads += charged
+        return charged

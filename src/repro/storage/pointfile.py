@@ -156,33 +156,47 @@ class PointFile:
     def file_bytes(self) -> int:
         return self.num_points * self.point_size
 
-    def page_of(self, point_id: int) -> int:
-        """First page holding the record of ``point_id``."""
-        pos = int(self._position_of[point_id])
-        if self.point_size >= self.disk.config.page_size:
-            return pos * self.pages_per_point
-        return pos // self.points_per_page
+    def pages_of(self, point_ids: np.ndarray) -> np.ndarray:
+        """Pages holding the records of ``point_ids``, in read order.
 
-    def fetch(
-        self, point_ids: np.ndarray, tracker: QueryIOTracker | None = None
-    ) -> np.ndarray:
-        """Read records by identifier, charging page I/O.
+        Each id contributes its ``pages_per_point`` consecutive pages, so
+        the result has ``len(point_ids) * pages_per_point`` entries.
 
-        Returns the ``(len(point_ids), d)`` array of points in request order.
+        Raises:
+            IndexError: an id outside ``0..num_points-1``, or a
+                tombstoned row.
         """
         ids = np.atleast_1d(np.asarray(point_ids, dtype=np.int64))
         if ids.size and (ids.min() < 0 or ids.max() >= self.num_points):
             raise IndexError("point id out of range")
         if ids.size and not self._live[ids].all():
             raise IndexError("point id tombstoned")
+        pos = self._position_of[ids]
+        if self.point_size < self.disk.config.page_size:
+            return pos // self.points_per_page
         span = self.pages_per_point
-        for pid in ids.tolist():
-            first = self.page_of(pid)
-            for offset in range(span):
-                self.disk.read_page(first + offset, tracker)
-            self.disk.stats.point_fetches += 1
-            if tracker is not None:
-                tracker.point_fetches += 1
+        return (pos[:, None] * span + np.arange(span, dtype=np.int64)).ravel()
+
+    def page_of(self, point_id: int) -> int:
+        """First page holding the record of ``point_id``."""
+        return int(self.pages_of(np.asarray([point_id]))[0])
+
+    def fetch(
+        self, point_ids: np.ndarray, tracker: QueryIOTracker | None = None
+    ) -> np.ndarray:
+        """Read records by identifier, charging page I/O.
+
+        The pages are charged in request order through one
+        :meth:`SimulatedDisk.read_pages` call; ``point_fetches`` counts
+        the records once the whole request has been read.
+
+        Returns the ``(len(point_ids), d)`` array of points in request order.
+        """
+        ids = np.atleast_1d(np.asarray(point_ids, dtype=np.int64))
+        self.disk.read_pages(self.pages_of(ids), tracker)
+        self.disk.stats.point_fetches += len(ids)
+        if tracker is not None:
+            tracker.point_fetches += len(ids)
         return self.points[ids]
 
     def fetch_one(

@@ -109,7 +109,13 @@ class TestServeCommand:
         assert args.max_batch == 32
         assert args.queue_depth == 256
 
-    def test_serve_saturating_smoke(self, capsys, tmp_path):
+    def test_serve_saturating_smoke(self, capsys, tmp_path, monkeypatch):
+        # The CLI server runs on a ManualClock, so no queued request ever
+        # waits out max_wait_us however slowly the burst is admitted: the
+        # micro-batcher flushes on fill alone and the fill is exact.
+        from repro.serve import ManualClock
+
+        monkeypatch.setattr("repro.serve.server.RealClock", ManualClock)
         out_path = tmp_path / "serve.json"
         rc = main([
             "serve", "--dataset", "tiny", "--scale", "0.25", "--k", "5",

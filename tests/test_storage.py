@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.storage.disk import DiskConfig, SimulatedDisk
+from repro.storage.bufferpool import BufferedPointFile, BufferPool
+from repro.storage.disk import DiskConfig, PageRangeError, SimulatedDisk
 from repro.storage.iostats import IOStats, QueryIOTracker
 from repro.storage.ordering import (
     clustered_order,
@@ -62,6 +63,100 @@ class TestSimulatedDisk:
             DiskConfig(read_latency_s=-1)
 
 
+def _charge_both(pages, make_disk, tracker_pages=None):
+    """Charge ``pages`` by one ``read_pages`` call and by a ``read_page``
+    loop on twin devices; return both outcomes for comparison."""
+    outcomes = []
+    for batched in (True, False):
+        disk = make_disk()
+        tracker = None
+        if tracker_pages is not None:
+            tracker = QueryIOTracker()
+            for page in tracker_pages:
+                tracker.needs_read(page)
+        error = None
+        try:
+            if batched:
+                disk.read_pages(np.asarray(pages, dtype=np.int64), tracker)
+            else:
+                for page in pages:
+                    disk.read_page(page, tracker)
+        except Exception as exc:  # compared below, type and page
+            error = (type(exc), getattr(exc, "page_id", None))
+        seen = None if tracker is None else (tracker.page_reads, tracker.pages_seen)
+        outcomes.append((disk.stats.page_reads, seen, error))
+    return outcomes
+
+
+class TestReadPages:
+    """``read_pages`` charges exactly what a ``read_page`` loop charges."""
+
+    CASES = [
+        [],
+        [3, 1, 4, 1, 5, 9, 2, 6],  # duplicates within one array
+        [7, 7, 7],
+        [0, 2, 11, 2, 40, 3],  # out of range mid-array
+        [-1, 0],
+    ]
+
+    @pytest.mark.parametrize("pages", CASES)
+    @pytest.mark.parametrize("tracker_pages", [None, [], [1, 2, 9]])
+    def test_matches_read_page_loop(self, pages, tracker_pages):
+        batched, looped = _charge_both(
+            pages, lambda: SimulatedDisk(n_pages=12), tracker_pages
+        )
+        assert batched == looped
+
+    def test_range_error_charges_prefix(self):
+        disk = SimulatedDisk(n_pages=12)
+        tracker = QueryIOTracker()
+        with pytest.raises(PageRangeError) as err:
+            disk.read_pages(np.array([0, 2, 2, 12, 3]), tracker)
+        assert err.value.page_id == 12
+        assert disk.stats.page_reads == 2
+        assert tracker.pages_seen == {0, 2}
+
+    def test_blocking_sleeps_per_charged_read(self, monkeypatch):
+        import repro.storage.disk as disk_module
+
+        sleeps = []
+        monkeypatch.setattr(disk_module.time, "sleep", sleeps.append)
+        config = DiskConfig(read_latency_s=1e-3, blocking=True)
+        batched, looped = _charge_both(
+            [4, 4, 5, 13, 6], lambda: SimulatedDisk(config, n_pages=12), [5]
+        )
+        assert batched == looped
+        # Only page 4 is charged before the range error at 13 (page 5 was
+        # already seen), on each of the two twin devices.
+        assert len(sleeps) == 2
+
+    @pytest.mark.parametrize("tracker_pages", [None, [2]])
+    def test_faulty_disk_consults_plan_per_page(self, tracker_pages):
+        from repro.faults import FaultSpec, FaultyDisk
+
+        logs = []
+
+        def make_disk():
+            disk = FaultyDisk(
+                SimulatedDisk(n_pages=12),
+                # Page 8 is a bad sector: the fault lands mid-array.
+                FaultSpec(seed=3, fail_pages=(8,), corrupt_rate=0.05),
+            )
+            log = []
+            consult = disk.plan.on_read
+            disk.plan.on_read = lambda page: (log.append(page), consult(page))
+            logs.append((disk, log))
+            return disk
+
+        pages = [0, 1, 2, 2, 5, 8, 1, 9, 10, 11, 3, 4]
+        batched, looped = _charge_both(pages, make_disk, tracker_pages)
+        assert batched == looped
+        assert batched[0] > 0 and batched[2] is not None
+        (disk_a, log_a), (disk_b, log_b) = logs
+        assert log_a == log_b
+        assert disk_a.plan.counters == disk_b.plan.counters
+
+
 class TestPointFile:
     @pytest.fixture()
     def pf(self):
@@ -102,6 +197,32 @@ class TestPointFile:
         pf = PointFile(pts, order=order, value_bytes=4)
         assert pf.page_of(7) == 0
         assert pf.page_of(0) == 7
+
+    def test_pages_of_matches_page_of(self):
+        pts = np.zeros((6, 2048))  # two pages per record
+        pf = PointFile(pts, order=np.array([5, 4, 3, 2, 1, 0]), value_bytes=4)
+        assert pf.pages_of(np.array([0, 4])).tolist() == [10, 11, 2, 3]
+        assert pf.page_of(4) == 2
+
+    def test_pages_of_validates(self, pf):
+        with pytest.raises(IndexError):
+            pf.pages_of(np.array([-1]))
+        pf.tombstone([3])
+        with pytest.raises(IndexError):
+            pf.pages_of(np.array([2, 3]))
+
+    def test_buffered_fetch_validates_like_pointfile(self):
+        pf = PointFile(np.arange(40.0).reshape(10, 4))
+        buffered = BufferedPointFile(pf, BufferPool(8192))
+        with pytest.raises(IndexError):
+            buffered.fetch([-1])
+        with pytest.raises(IndexError):
+            buffered.fetch([10])
+        pf.tombstone([3])
+        with pytest.raises(IndexError):
+            pf.fetch([3])
+        with pytest.raises(IndexError):
+            buffered.fetch([3])
 
     def test_bad_order_rejected(self):
         with pytest.raises(ValueError):
