@@ -72,50 +72,15 @@ def test_cache_lookup_kernel(benchmark, pipelines):
     assert np.all(lb <= ub + 1e-9)
 
 
-def run_engine_comparison():
-    """Per-query vs batched engine execution on a Phase-2-bound workload.
-
-    A linear candidate generator with a full-file cache makes every query
-    decode the whole cached code store — the exact cost ``search_many``
-    amortizes across the batch (one decode, broadcasted bounds).
-    """
-    dataset, engine = get_engine(
-        DATASET, method="HC-O", index_name="linear", cache_fraction=1.0
-    )
-    queries = dataset.query_log.test
-    engine.search(queries[0], DEFAULT_K)  # warm both code paths
-    engine.search_many(queries[:2], DEFAULT_K)
-
-    started = time.perf_counter()
-    per_query = [engine.search(q, DEFAULT_K) for q in queries]
-    t_seq = time.perf_counter() - started
-
-    started = time.perf_counter()
-    batched = engine.search_many(queries, DEFAULT_K)
-    t_batch = time.perf_counter() - started
-
-    for a, b in zip(per_query, batched):
-        assert np.array_equal(a.ids, b.ids)
-        assert a.stats == b.stats
-    return {
-        "dataset": DATASET,
-        "num_queries": len(queries),
-        "k": DEFAULT_K,
-        "per_query": {"wall_time_s": t_seq, "queries_per_s": len(queries) / t_seq},
-        "batched": {"wall_time_s": t_batch, "queries_per_s": len(queries) / t_batch},
-        "speedup": t_seq / t_batch,
-    }
-
-
 def run_kernel_comparison():
-    """Batched search under each bound kernel (decode / numpy / native).
+    """``search_many`` under each bound kernel (decode / numpy / native).
 
     Reuses one engine and swaps kernels in place with
     ``cache.set_kernel`` — kernels are bit-identical by contract, so the
     answers are asserted byte-equal across runs before any timing is
-    reported.  The workload is the same Phase-2-bound configuration as
-    :func:`run_engine_comparison`: every query bounds the whole cached
-    code store.
+    reported.  The workload is Phase-2-bound: a linear candidate
+    generator with a full-file cache, so every query bounds the whole
+    cached code store.
     """
     from repro.core.kernels import native_available
 
@@ -160,11 +125,10 @@ def run_kernel_comparison():
 
 
 def test_kernel_comparison_throughput(benchmark):
-    """The numpy table-gather kernel must beat decode by >= 2x batched.
+    """The numpy table-gather kernel must beat decode by >= 2x.
 
-    Extends ``benchmarks/results/BENCH_engine.json`` with the kernel
-    table (the file is rewritten whole by
-    ``test_engine_batched_throughput``; ordering is handled by merging).
+    Writes the kernel table into ``benchmarks/results/BENCH_engine.json``
+    (merged into the file, which other sections may share).
     """
     payload = benchmark.pedantic(run_kernel_comparison, rounds=1, iterations=1)
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
@@ -290,22 +254,3 @@ def test_shard_scaling_throughput(benchmark):
             f"{run['queries_per_s']:.1f} q/s"
         )
     assert payload["best_parallel_speedup"] >= 1.5
-
-
-def test_engine_batched_throughput(benchmark):
-    """Batched ``search_many`` must beat the per-query loop by >= 2x."""
-    payload = benchmark.pedantic(run_engine_comparison, rounds=1, iterations=1)
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    path = RESULTS_DIR / "BENCH_engine.json"
-    # Merge instead of overwrite: test_kernel_comparison_throughput
-    # contributes a "kernels" section to the same artifact.
-    merged = json.loads(path.read_text()) if path.exists() else {}
-    merged.update(payload)
-    path.write_text(json.dumps(merged, indent=2) + "\n")
-    print(
-        f"\nengine throughput: per-query "
-        f"{payload['per_query']['queries_per_s']:.1f} q/s, batched "
-        f"{payload['batched']['queries_per_s']:.1f} q/s "
-        f"({payload['speedup']:.1f}x)"
-    )
-    assert payload["speedup"] >= 2.0

@@ -113,14 +113,20 @@ class BitPackedMatrix:
         words = np.asarray(words, dtype=np.uint64)
         if words.ndim == 1:
             words = words[None, :]
-        out = np.empty((len(words), self.n_fields), dtype=np.int64)
-        for j in range(self.n_fields):
-            v = words[:, self._word_idx[j]] >> self._offsets[j]
-            spill = self._spill[j]
-            if spill > 0:
-                v = v | (words[:, self._word_idx[j] + 1] << np.uint64(self.bits - spill))
-            out[:, j] = (v & self._mask).astype(np.int64)
-        return out
+        # One gather of every field's first word, shifted into place;
+        # fields straddling a word boundary then OR in their top bits.
+        # ``np.take`` keeps the result C-contiguous (``words[:, idx]``
+        # would not), which the kernels' row sums rely on.
+        out = np.take(words, self._word_idx, axis=1)
+        np.right_shift(out, self._offsets, out=out)
+        spilled = np.flatnonzero(self._spill)
+        if spilled.size:
+            out[:, spilled] |= words[:, self._word_idx[spilled] + 1] << (
+                self.bits - self._spill[spilled]
+            ).astype(np.uint64)
+        out &= self._mask
+        # Masked codes are < 2**63, so the int64 view reads the same values.
+        return out.view(np.int64)
 
     # ------------------------------------------------------------------
     def set_rows(self, slots: np.ndarray, codes: np.ndarray) -> None:

@@ -43,13 +43,21 @@ kernels agree on every output bit, and therefore on answer sets, prune
 counts and telemetry.  ``tests/test_kernel_differential.py`` enforces
 this across index x cache cells.
 
-Selection: the ``REPRO_KERNEL`` environment variable (``auto`` |
-``decode`` | ``numpy`` | ``native``) sets the process default;
-spec/CLI ``--kernel`` overrides per cache.  ``auto`` means ``numpy``.
-An explicit request for an unavailable kernel raises
-:class:`KernelUnavailableError`; an environment-sourced request
-degrades to ``numpy`` with a warning, so a mis-set variable never
-breaks a running service.
+Selection (:func:`resolve_kernel`): an explicit argument (spec/CLI
+``--kernel``) wins, then the ``REPRO_KERNEL`` environment variable
+(``auto`` | ``decode`` | ``numpy`` | ``native``), then ``auto``.
+``auto`` means ``native`` when :func:`native_available` holds (a C
+compiler is present and the load-time self-check passes) and ``numpy``
+otherwise.  An explicit request for an unknown or unavailable kernel
+raises; an environment-sourced one warns and uses the ``auto`` kernel,
+so a mis-set variable never breaks a running service.
+
+The engine calls :meth:`BoundKernel.packed_bounds` once per query with
+that query's own cached candidates.  The native kernel decodes nothing
+and releases the GIL while it runs; the numpy fallback unpacks those
+rows first.  ``lookup_batch`` (one candidate set shared by a query
+batch, as in range search) still runs every query against the same
+rows in one call.
 """
 
 from __future__ import annotations
@@ -147,15 +155,23 @@ class TableGatherKernel(BoundKernel):
         )
 
     def bounds(self, queries, codes, encoder):
+        return self._bounds(queries, codes, encoder, owned=False)
+
+    def packed_bounds(self, queries, store, slots, encoder):
+        # Freshly unpacked codes are this call's to overwrite.
+        return self._bounds(queries, store.get_rows(slots), encoder, owned=True)
+
+    def _bounds(self, queries, codes, encoder, owned):
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        codes = np.atleast_2d(np.asarray(codes, dtype=np.int64))
+        # C order: each gathered row is summed pairwise along axis -1.
+        codes = np.ascontiguousarray(np.atleast_2d(codes), dtype=np.int64)
         n_queries, m = len(queries), codes.shape[0]
         if m == 0:
             empty = np.empty((n_queries, 0), dtype=np.float64)
             return empty, empty.copy()
         tables = encoder.decode_tables()
         if tables is not None:
-            return self._per_dimension(queries, codes, tables)
+            return self._per_dimension(queries, codes, tables, owned)
         rects = encoder.bucket_rectangles()
         if rects is not None:
             return self._per_bucket(queries, codes, rects)
@@ -165,28 +181,33 @@ class TableGatherKernel(BoundKernel):
         )
 
     @staticmethod
-    def _per_dimension(queries, codes, tables):
+    def _per_dimension(queries, codes, tables, owned=False):
+        """``owned`` codes were unpacked for this call: never negative,
+        and overwritten in place with the gather indices."""
         lo_t, up_t = tables
         n_buckets = lo_t.shape[1]
-        if codes.size and (codes.min() < 0 or codes.max() >= n_buckets):
+        if codes.size and (
+            (not owned and codes.min() < 0) or codes.max() >= n_buckets
+        ):
             raise IndexError("code out of range")
         n_queries, m = len(queries), codes.shape[0]
         # Flat gather indices into the raveled (d, B) tables, built once
-        # per batch: entry (i, j) reads table row j at bucket code_ij.
-        # ``np.take`` on the flat index is several times faster than the
-        # equivalent two-array fancy gather and reads the same elements,
-        # so the pairwise row sums stay bit-identical.
-        flat = (
-            np.arange(codes.shape[1], dtype=np.int64)[None, :] * n_buckets
-            + codes
+        # per call: entry (i, j) reads table row j at bucket code_ij.
+        # One flat fancy index is several times faster than the
+        # equivalent two-array gather (and than ``np.take``) and reads
+        # the same elements, so the pairwise row sums stay bit-identical.
+        flat = np.add(
+            np.arange(codes.shape[1], dtype=np.int64) * n_buckets,
+            codes,
+            out=codes if owned else None,
         )
         lb = np.empty((n_queries, m), dtype=np.float64)
         ub = np.empty((n_queries, m), dtype=np.float64)
         for i, query in enumerate(queries):
             tlb, tub = _contribution_tables(query, lo_t, up_t)
-            np.sum(np.take(tlb.ravel(), flat), axis=-1, out=lb[i])
+            np.sum(tlb.ravel()[flat], axis=-1, out=lb[i])
             np.sqrt(lb[i], out=lb[i])
-            np.sum(np.take(tub.ravel(), flat), axis=-1, out=ub[i])
+            np.sum(tub.ravel()[flat], axis=-1, out=ub[i])
             np.sqrt(ub[i], out=ub[i])
         return lb, ub
 
@@ -301,17 +322,28 @@ def _compile_native() -> ctypes.CDLL:
     os.makedirs(cache_dir, exist_ok=True)
     so_path = os.path.join(cache_dir, f"bound_kernel_{digest}.so")
     if not os.path.exists(so_path):
-        c_path = os.path.join(cache_dir, f"bound_kernel_{digest}.c")
-        tmp_path = f"{so_path}.tmp{os.getpid()}"
-        with open(c_path, "w") as fh:
+        # Source and output are private to this call, so concurrent
+        # compiles into one cache (parallel workers on a fresh machine)
+        # never read a file another process is rewriting; only the
+        # finished library is published, atomically.
+        fd, c_path = tempfile.mkstemp(
+            prefix=f"bound_kernel_{digest}.", suffix=".c", dir=cache_dir
+        )
+        with os.fdopen(fd, "w") as fh:
             fh.write(_C_SOURCE)
+        tmp_path = f"{c_path[:-2]}.so"
         cmd = [compiler, "-O2", "-fPIC", "-shared", "-o", tmp_path, c_path, "-lm"]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise KernelUnavailableError(
-                f"native kernel compilation failed: {proc.stderr.strip()[:500]}"
-            )
-        os.replace(tmp_path, so_path)
+        try:
+            proc = subprocess.run(cmd, capture_output=True, text=True)
+            if proc.returncode != 0:
+                raise KernelUnavailableError(
+                    f"native kernel compilation failed: {proc.stderr.strip()[:500]}"
+                )
+            os.replace(tmp_path, so_path)
+        finally:
+            for path in (c_path, tmp_path):
+                if os.path.exists(path):
+                    os.remove(path)
     lib = ctypes.CDLL(so_path)
     fn = lib.repro_packed_bounds
     fn.restype = ctypes.c_int
@@ -473,47 +505,56 @@ _TABLE = TableGatherKernel()
 
 
 def resolve_kernel(choice: str | None = None) -> BoundKernel:
-    """Resolve a kernel name (explicit arg > ``REPRO_KERNEL`` > auto).
+    """Resolve a kernel name: explicit argument > ``REPRO_KERNEL`` > auto.
 
-    An explicit request for an unavailable or unknown kernel raises; an
-    environment-sourced one degrades to ``numpy`` with a warning.
+    ``auto`` (and ``None``) defer to the environment variable, and with
+    neither set resolve to :func:`auto_kernel`.  An unknown or
+    unavailable kernel raises when it was passed as the argument; when it
+    came from the environment it warns and the ``auto`` kernel is used,
+    so a mis-set variable never breaks a running service.
     """
-    explicit = choice not in (None, "auto")
-    if not explicit:
+    from_env = choice in (None, "auto")
+    if from_env:
         choice = os.environ.get(KERNEL_ENV) or "auto"
-    choice = choice.lower()
-    if choice not in KERNEL_CHOICES:
-        if explicit:
-            raise ValueError(
-                f"unknown kernel {choice!r}; choose from {KERNEL_CHOICES}"
-            )
+    try:
+        return _kernel_named(choice.lower())
+    except (ValueError, KernelUnavailableError) as exc:
+        if not from_env:
+            raise
+        fallback = auto_kernel()
         warnings.warn(
-            f"{KERNEL_ENV}={choice!r} is not one of {KERNEL_CHOICES}; "
-            "using the numpy kernel",
+            f"{KERNEL_ENV}={choice!r}: {exc}; using the {fallback.name} kernel",
             RuntimeWarning,
             stacklevel=2,
         )
-        choice = "numpy"
-    if choice == "auto":
-        choice = "numpy"
-    if choice == "decode":
+        return fallback
+
+
+def auto_kernel() -> BoundKernel:
+    """Native when it compiled and passed its self-check, else numpy."""
+    return _native_kernel() if native_available()[0] else _TABLE
+
+
+def _kernel_named(name: str) -> BoundKernel:
+    if name == "auto":
+        return auto_kernel()
+    if name == "decode":
         return _DECODE
-    if choice == "numpy":
+    if name == "numpy":
         return _TABLE
-    ok, reason = native_available()
-    if ok:
-        global _NATIVE_SINGLETON
-        if _NATIVE_SINGLETON is None:
-            _NATIVE_SINGLETON = NativeKernel(_NATIVE_STATE[0])
-        return _NATIVE_SINGLETON
-    if explicit:
-        raise KernelUnavailableError(reason)
-    warnings.warn(
-        f"{KERNEL_ENV}=native but {reason}; using the numpy kernel",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    return _TABLE
+    if name == "native":
+        ok, reason = native_available()
+        if not ok:
+            raise KernelUnavailableError(reason)
+        return _native_kernel()
+    raise ValueError(f"unknown kernel {name!r}; choose from {KERNEL_CHOICES}")
+
+
+def _native_kernel() -> "NativeKernel":
+    global _NATIVE_SINGLETON
+    if _NATIVE_SINGLETON is None:
+        _NATIVE_SINGLETON = NativeKernel(_NATIVE_STATE[0])
+    return _NATIVE_SINGLETON
 
 
 _NATIVE_SINGLETON: NativeKernel | None = None

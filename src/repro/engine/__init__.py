@@ -5,15 +5,13 @@
 indexes (LSH family, VA-files, linear scan) and tree indexes
 (Section 3.6.1 leaf streaming) behind one interface — with a per-query
 ``ExecutionContext`` carrying I/O trackers, phase timers and pluggable
-instrumentation hooks.  ``search_many`` is the batched hot path: one
-cache probe for the union of candidates across the batch, each cached
-code decoded exactly once, bounds computed as broadcasted NumPy
-operations — with results and I/O counts identical to the per-query
-path.
+instrumentation hooks.  ``search_many`` answers a batch query by query;
+each query's cache probe bounds only its own candidates.  Both entry
+points reject malformed input with :class:`InvalidQueryError`.
 """
 
 from repro.engine.context import ExecutionContext, PhaseHook, TimingHook
-from repro.engine.engine import QueryEngine
+from repro.engine.engine import InvalidQueryError, QueryEngine
 from repro.engine.phases import GeneratePhase, ReducePhase, RefinePhase
 from repro.engine.sources import (
     CandidateSetSource,
@@ -29,6 +27,7 @@ __all__ = [
     "CandidateSource",
     "ExecutionContext",
     "GeneratePhase",
+    "InvalidQueryError",
     "PhaseHook",
     "QueryEngine",
     "QueryStats",

@@ -2,24 +2,22 @@
 
 The engine owns the three Algorithm-1 phases (generate → reduce →
 refine) over a :class:`~repro.engine.sources.CandidateSource` and runs
-them per query (:meth:`QueryEngine.search`) or vectorized over a query
-batch (:meth:`QueryEngine.search_many`).
+them one query at a time, whether called through
+:meth:`QueryEngine.search` or :meth:`QueryEngine.search_many`.
 
-The batched hot path exploits that the paper's Phase 2 is embarrassingly
-batchable: cached codes decode to the *same* rectangles for every query,
-so the engine probes the cache once for the union of candidate ids
-across the batch, decodes each cached code exactly once, and computes
-the ``rectangle_bounds`` for all (query, candidate) pairs as one
-broadcasted NumPy operation.  Phases 1 and 3 stay per-query, so results
-*and I/O counts* are identical to the per-query path — a property test
-enforces this for every index type.  Within a query, Phase 3 fetches in
-rounds (see :mod:`repro.core.multistep`): each round reads a prefix of
-the lb-sorted candidates that the stopping rule is certain to fetch, in
-one call, instead of one candidate per call.
+Phase 2 bounds only the query's own candidates: ``reduce`` calls
+``cache.lookup(query, own_ids)``, and the default native kernel reads
+those codes' packed words directly, so no code is decoded and no
+(query, candidate) pair is bounded for a query that did not generate
+it.  The native kernel also releases the GIL while it runs, so a
+replica pool's threads overlap their probes.  Within a query, Phase 3
+fetches in rounds (see :mod:`repro.core.multistep`): each round reads a
+prefix of the lb-sorted candidates that the stopping rule is certain to
+fetch, in one call, instead of one candidate per call.
 
-Dynamic (LRU) caches mutate on every lookup and admission, making query
-order observable; for them ``search_many`` degrades to the sequential
-loop so batching never changes behavior.
+Both entry points validate their input first: a query of the wrong
+dimension, one holding NaN/inf, or a ``k`` that is not a positive
+integer raises :class:`InvalidQueryError` (a ``ValueError``).
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.cache import CachePolicy, LeafNodeCache, NoCache, PointCache
+from repro.core.cache import LeafNodeCache, NoCache, PointCache
 from repro.engine.context import ExecutionContext, PhaseHook
 from repro.engine.phases import GeneratePhase, ReducePhase, RefinePhase
 from repro.engine.sources import TreeLeafSource, as_source
@@ -38,6 +36,29 @@ from repro.faults.degrade import degraded_answer
 from repro.faults.errors import DEGRADABLE_ERRORS, fault_reason
 from repro.faults.policy import ResiliencePolicy
 from repro.storage.pointfile import PointFile
+
+
+class InvalidQueryError(ValueError):
+    """A query or ``k`` the engine cannot answer (wrong shape, NaN/inf, k <= 0)."""
+
+
+def check_k(k) -> int:
+    """``k`` as a positive ``int``; bools and non-integers are rejected."""
+    if isinstance(k, (bool, np.bool_)) or not isinstance(k, (int, np.integer)):
+        raise InvalidQueryError(f"k must be a positive integer, got {k!r}")
+    if k <= 0:
+        raise InvalidQueryError(f"k must be positive, got {k}")
+    return int(k)
+
+
+def check_queries(queries: np.ndarray, dim: int | None) -> None:
+    """Reject a ``(n, d)`` query block of the wrong width or non-finite."""
+    if queries.ndim != 2 or (dim is not None and queries.shape[1] != dim):
+        raise InvalidQueryError(
+            f"queries must have dimension {dim}, got shape {queries.shape}"
+        )
+    if not np.isfinite(queries).all():
+        raise InvalidQueryError("queries must be finite (no NaN or inf)")
 
 
 class QueryEngine:
@@ -241,9 +262,14 @@ class QueryEngine:
                 the answer to ids whose entry is True (attribute-filtered
                 kNN); combined with the engine's tombstone bitmap.
         """
-        if k <= 0:
-            raise ValueError("k must be positive")
+        k = check_k(k)
         query = np.asarray(query, dtype=np.float64)
+        if query.ndim != 1:
+            raise InvalidQueryError(
+                f"search takes one query vector, got shape {query.shape}; "
+                "use search_many for a batch"
+            )
+        check_queries(query[None, :], self.dim)
         ctx = ctx or self.make_context()
         ctx.query = query
         if self.source.is_tree:
@@ -262,154 +288,59 @@ class QueryEngine:
             )
         if candidate_ids.size == 0:
             return self._empty_result(ctx)
-        return self._reduce_and_refine(query, candidate_ids, k, ctx, None, deadline)
+        return self._reduce_and_refine(query, candidate_ids, k, ctx, deadline)
+
+    @property
+    def dim(self) -> int | None:
+        """Dimensionality queries must have (None when unknown)."""
+        holder = self.point_file
+        if holder is None:  # tree sources keep the points in the index
+            holder = getattr(self.source, "index", None)
+        points = getattr(holder, "points", None)
+        return None if points is None else points.shape[1]
 
     def search_many(
         self,
         queries: np.ndarray,
         k: int,
-        chunk_size: int = 256,
         deadline: Deadline | None = None,
         predicate_mask: np.ndarray | None = None,
     ) -> list[SearchResult]:
-        """Answer a query batch; the cache is probed once per chunk.
+        """Answer a query batch, one query at a time.
 
         Returns one :class:`SearchResult` per query, element-wise identical
         (ids, distances and I/O counts) to ``[search(q, k) for q in
-        queries]``.  Tree sources and dynamic (LRU) caches fall back to
-        that sequential loop — their per-query state mutations make
-        execution order observable.
+        queries]``: each query bounds only its own candidates.
 
         Args:
-            chunk_size: queries per batched cache probe; bounds the
-                ``(chunk, |union of candidates|)`` bound matrices.
             deadline: optional budget.  A single :class:`Deadline` is a
                 *per-batch* budget shared by every query (late queries
                 degrade once it expires).  A sequence of
                 ``Deadline | None``, one per query, carries independent
-                per-request budgets through the batched path — the
-                serving layer's SLA tiers, whose clocks started at
-                admission.  Without either, the resilience policy's
-                per-query default applies to each query independently.
+                per-request budgets — the serving layer's SLA tiers,
+                whose clocks started at admission.  Without either, the
+                resilience policy's per-query default applies to each
+                query independently.
         """
-        if k <= 0:
-            raise ValueError("k must be positive")
-        if chunk_size <= 0:
-            raise ValueError("chunk_size must be positive")
+        k = check_k(k)
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         if len(queries) == 0:
             return []
-        per_query: list[Deadline | None] | None = None
-        if deadline is not None and not isinstance(deadline, Deadline):
-            per_query = list(deadline)
-            if len(per_query) != len(queries):
+        check_queries(queries, self.dim)
+        if deadline is None or isinstance(deadline, Deadline):
+            deadlines = [deadline] * len(queries)
+        else:
+            deadlines = list(deadline)
+            if len(deadlines) != len(queries):
                 raise ValueError(
-                    f"got {len(per_query)} deadlines for {len(queries)} queries"
+                    f"got {len(deadlines)} deadlines for {len(queries)} queries"
                 )
-            deadline = None
-        if self.source.is_tree or not self._batchable_cache():
-            if per_query is not None:
-                return [
-                    self.search(query, k, deadline=dl, predicate_mask=predicate_mask)
-                    for query, dl in zip(queries, per_query)
-                ]
-            return [
-                self.search(query, k, deadline=deadline, predicate_mask=predicate_mask)
-                for query in queries
-            ]
-        results: list[SearchResult] = []
-        for start in range(0, len(queries), chunk_size):
-            chunk_deadline = (
-                per_query[start : start + chunk_size]
-                if per_query is not None
-                else deadline
-            )
-            results.extend(
-                self._search_chunk(
-                    queries[start : start + chunk_size],
-                    k,
-                    chunk_deadline,
-                    predicate_mask=predicate_mask,
-                )
-            )
-        return results
-
-    def _search_chunk(
-        self,
-        queries: np.ndarray,
-        k: int,
-        deadline: Deadline | list[Deadline | None] | None = None,
-        predicate_mask: np.ndarray | None = None,
-    ) -> list[SearchResult]:
-        per_query = deadline if isinstance(deadline, list) else None
-        if per_query is not None:
-            deadline = None
-        contexts = [self.make_context() for _ in range(len(queries))]
-        candidate_sets: list[np.ndarray] = []
-        for query, ctx in zip(queries, contexts):
-            ctx.query = query
-            with ctx.phase("generate"):
-                candidate_sets.append(
-                    self._mask_candidates(
-                        self.generate.run(
-                            query,
-                            k,
-                            ctx,
-                            live=self._combined_filter(predicate_mask),
-                        ),
-                        predicate_mask,
-                    )
-                )
-
-        nonempty = [ids for ids in candidate_sets if ids.size]
-        union = (
-            np.unique(np.concatenate(nonempty))
-            if nonempty
-            else np.empty(0, dtype=np.int64)
-        )
-        if union.size:
-            # The probe context carries the engine's hooks, so the
-            # ``batch_probe`` phase lands in the metrics like any other;
-            # its wall time is also attributed evenly to the chunk's
-            # per-query contexts (the per-query path pays the cache
-            # lookup inside ``reduce``, batched queries pay it here).
-            batch_ctx = self.make_context()
-            with batch_ctx.phase("batch_probe"):
-                union_hits, lb_matrix, ub_matrix = self.cache.lookup_batch(
-                    queries, union
-                )
-            share = batch_ctx.timings["batch_probe"] / len(queries)
-            for ctx in contexts:
-                ctx.timings["batch_probe"] = (
-                    ctx.timings.get("batch_probe", 0.0) + share
-                )
-
-        results: list[SearchResult] = []
-        for i, (query, candidate_ids, ctx) in enumerate(
-            zip(queries, candidate_sets, contexts)
-        ):
-            if candidate_ids.size == 0:
-                results.append(self._empty_result(ctx))
-                continue
-            positions = np.searchsorted(union, candidate_ids)
-            bounds = (
-                union_hits[positions],
-                lb_matrix[i, positions],
-                ub_matrix[i, positions],
-            )
-            deadline_i = per_query[i] if per_query is not None else deadline
-            results.append(
-                self._reduce_and_refine(
-                    query, candidate_ids, k, ctx, bounds, self._make_deadline(deadline_i)
-                )
-            )
-        return results
+        return [
+            self.search(query, k, deadline=dl, predicate_mask=predicate_mask)
+            for query, dl in zip(queries, deadlines)
+        ]
 
     # ------------------------------------------------------------------
-    def _batchable_cache(self) -> bool:
-        """Static caches answer a batch probe without observable mutation."""
-        return getattr(self.cache, "policy", None) is not CachePolicy.LRU
-
     def _protected_fetcher(self, deadline: Deadline | None):
         """The point-fetch callable the refine/eager paths must use.
 
@@ -456,7 +387,6 @@ class QueryEngine:
         candidate_ids: np.ndarray,
         k: int,
         ctx: ExecutionContext,
-        bounds,
         deadline: Deadline | None = None,
     ) -> SearchResult:
         fetcher = self._protected_fetcher(deadline)
@@ -466,7 +396,7 @@ class QueryEngine:
                 if deadline is not None:
                     deadline.check("reduce")
                 reduction = self.reduce.run(
-                    query, candidate_ids, k, ctx, bounds=bounds, fetcher=fetcher
+                    query, candidate_ids, k, ctx, fetcher=fetcher
                 )
             with ctx.phase("refine"):
                 if deadline is not None:

@@ -11,7 +11,7 @@ The engine composes three phases per query:
    (fetches points from the data file, admits them to the cache).
 
 Each phase is a plain object with a ``run`` method so instrumentation
-hooks, the batched fast path and tests can target them individually.
+hooks and tests can target them individually.
 """
 
 from __future__ import annotations
@@ -25,10 +25,6 @@ from repro.core.reduction import ReductionOutcome, reduce_candidates
 from repro.engine.context import ExecutionContext
 from repro.engine.sources import CandidateSource
 from repro.storage.pointfile import PointFile
-
-#: Phase-2 inputs: ``(hit_mask, lb, ub)`` aligned with the candidate ids.
-CandidateBounds = tuple[np.ndarray, np.ndarray, np.ndarray]
-
 
 class GeneratePhase:
     """Phase 1: candidate generation through the source."""
@@ -74,21 +70,17 @@ class ReducePhase:
         candidate_ids: np.ndarray,
         k: int,
         ctx: ExecutionContext,
-        bounds: CandidateBounds | None = None,
         fetcher=None,
     ) -> ReductionOutcome:
         """Reduce one query's candidates.
 
+        The cache bounds exactly these candidates for this query.
+
         Args:
-            bounds: precomputed ``(hit_mask, lb, ub)`` from a batched
-                cache probe; the per-query cache lookup is skipped.
             fetcher: override for the eager miss-fetch I/O call (the
                 engine passes its resilience-protected fetcher here).
         """
-        if bounds is None:
-            hits, lb, ub = self.cache.lookup(query, candidate_ids)
-        else:
-            hits, lb, ub = bounds
+        hits, lb, ub = self.cache.lookup(query, candidate_ids)
         if self.eager_miss_fetch and not hits.all():
             # Eager fetches are charged to the refinement tracker: the
             # same pages are read by Phase 3 anyway, and sharing one

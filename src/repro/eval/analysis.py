@@ -71,7 +71,7 @@ def _kernel_section(path: Path) -> str | None:
             for kernel, run in runs.items()
         ]
         parts.append(
-            "Batched `search_many`, answers byte-equal across kernels "
+            "`search_many`, answers byte-equal across kernels "
             f"(tau={kernels.get('tau', '?')}):\n\n"
             + _markdown_table(["kernel", "q/s", "speedup vs decode"], rows)
         )

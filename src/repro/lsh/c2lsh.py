@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.lsh.hashes import PStableHashFamily, collision_probability
+from repro.storage.growable import append_rows, prefix, reserve
 from repro.storage.iostats import QueryIOTracker
 
 
@@ -138,6 +139,11 @@ class C2LSHIndex:
     """
 
     ENTRY_BYTES = 12
+    #: Owned capacity buffers behind ``_sorted_ids`` / ``_sorted_hashes``
+    #: / ``_points``; allocated by the first insert.
+    _id_buf: np.ndarray | None = None
+    _hash_buf: np.ndarray | None = None
+    _points_buf: np.ndarray | None = None
 
     def __init__(
         self,
@@ -181,37 +187,56 @@ class C2LSHIndex:
 
     # ------------------------------------------------------------------
     def insert_many(self, points: np.ndarray) -> None:
-        """Merge appended rows into each per-function sorted run.
+        """Splice appended rows into each per-function sorted run, in place.
 
         A run is sorted by ``(hash, id)`` — the build's stable argsort
-        orders equal hashes by ascending id — so a lexsort merge of the
-        existing run with the new entries reproduces a from-scratch
-        build over the extended dataset bit-identically (new ids are
-        larger than every existing id).
+        orders equal hashes by ascending id.  New ids are larger than
+        every existing id, so each new entry belongs right after the
+        last existing entry with a hash ``<=`` its own
+        (``searchsorted(..., "right")``), and the spliced run equals a
+        from-scratch build over the extended dataset bit-identically.
+        The runs live in capacity-doubling buffers (see
+        :mod:`repro.storage.growable`), so an insert moves each run's
+        tail instead of reallocating all ``m`` runs.  Because the runs
+        change in place, no query may run on this index during the call;
+        the mutation layer applies inserts at fences between reads.
         """
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if len(points) == 0:
             return
-        new_ids = np.arange(
-            self.n_points, self.n_points + len(points), dtype=np.int64
-        )
+        n, extra = self.n_points, len(points)
+        new_ids = np.arange(n, n + extra, dtype=np.int64)
         hashes = self.family.hash(points)  # (n_new, m)
-        merged_ids = np.empty(
-            (self.n_hashes, self.n_points + len(points)), dtype=np.int64
-        )
-        merged_hashes = np.empty_like(merged_ids)
+        order = np.argsort(hashes, axis=0, kind="stable")  # (n_new, m)
+        new_hashes = np.take_along_axis(hashes, order, axis=0).T  # (m, n_new)
+        new_run_ids = new_ids[order].T
+        id_buf = reserve(self._id_buf, self._sorted_ids, extra, axis=1)
+        hash_buf = reserve(self._hash_buf, self._sorted_hashes, extra, axis=1)
+        slots = np.arange(extra)
         for i in range(self.n_hashes):
-            run_h = np.concatenate([self._sorted_hashes[i], hashes[:, i]])
-            run_id = np.concatenate([self._sorted_ids[i], new_ids])
-            order = np.lexsort((run_id, run_h))
-            merged_hashes[i] = run_h[order]
-            merged_ids[i] = run_id[order]
-        self._sorted_ids = merged_ids
-        self._sorted_hashes = merged_hashes
-        self.n_points += len(points)
+            pos = np.searchsorted(hash_buf[i, :n], new_hashes[i], "right")
+            start = int(pos[0])
+            # Within the moved tail, new entries land at pos + rank - start;
+            # the old entries keep their order in the remaining slots.
+            fresh = np.zeros(n + extra - start, dtype=bool)
+            fresh[pos + slots - start] = True
+            for buf, new in (
+                (hash_buf[i], new_hashes[i]),
+                (id_buf[i], new_run_ids[i]),
+            ):
+                tail = buf[start:n].copy()
+                seg = buf[start : n + extra]
+                seg[~fresh] = tail
+                seg[fresh] = new
+        self._id_buf, self._hash_buf = id_buf, hash_buf
+        self._sorted_ids = prefix(id_buf, n + extra, axis=1)
+        self._sorted_hashes = prefix(hash_buf, n + extra, axis=1)
+        self.n_points += extra
         self._pages_per_table = -(-self.n_points // self.entries_per_page)
         if self._points is not None:
-            self._points = np.vstack([self._points, points])
+            self._points_buf, self._points = append_rows(
+                self._points_buf, self._points, points
+            )
 
     @property
     def index_bytes(self) -> int:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.storage.growable import append_rows
+
 
 def snap_to_domain(points: np.ndarray, domain_values: np.ndarray) -> np.ndarray:
     """Snap coordinates onto the trained value domain (nearest member).
@@ -48,6 +50,8 @@ class MutableDataset:
     ) -> None:
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         self.points = points
+        #: Owned capacity buffer behind ``points`` once rows are appended.
+        self._points_buf: np.ndarray | None = None
         self.base_count = len(points)
         self.live = np.ones(len(points), dtype=bool)
         self.attributes: dict[str, np.ndarray] = {}
@@ -102,8 +106,7 @@ class MutableDataset:
         unknown = set(attributes) - set(self.attributes)
         if unknown:
             raise ValueError(f"unknown attributes {sorted(unknown)}")
-        self.points = np.vstack([self.points, points])
-        self.live = np.concatenate([self.live, np.ones(n_new, dtype=bool)])
+        tails = {}
         for name, column in self.attributes.items():
             if name in attributes:
                 tail = np.atleast_1d(np.asarray(attributes[name], dtype=column.dtype))
@@ -114,7 +117,14 @@ class MutableDataset:
                     )
             else:
                 tail = np.zeros(n_new, dtype=column.dtype)
-            self.attributes[name] = np.concatenate([column, tail])
+            tails[name] = tail
+        # Validated: from here on the append cannot fail half-applied.
+        self._points_buf, self.points = append_rows(
+            self._points_buf, self.points, points
+        )
+        self.live = np.concatenate([self.live, np.ones(n_new, dtype=bool)])
+        for name, tail in tails.items():
+            self.attributes[name] = np.concatenate([self.attributes[name], tail])
         return np.arange(n_old, n_old + n_new, dtype=np.int64)
 
     def tombstone(self, ids: np.ndarray) -> np.ndarray:

@@ -5,8 +5,8 @@ folds every phase event and every finished query into a
 :class:`~repro.obs.registry.MetricsRegistry`:
 
 * ``engine_phase_seconds{phase=...}`` — wall-time histogram per phase
-  (``generate`` / ``reduce`` / ``refine``, plus ``batch_probe`` on the
-  batched path);
+  (``generate`` / ``reduce`` / ``refine``; the cache probe runs inside
+  each query's ``reduce``);
 * ``engine_phase_gen_page_reads`` / ``engine_phase_refine_page_reads``
   per phase — the ``Tgen``/``Trefine`` split attributed to the phase
   that actually incurred the I/O;

@@ -34,6 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.reduction import reduce_candidates
+from repro.engine.engine import check_k, check_queries
 from repro.engine.stats import COMPLETE, QueryOutcome, QueryStats, SearchResult
 from repro.faults.deadline import Deadline
 from repro.faults.degrade import degraded_answer
@@ -133,9 +134,15 @@ class ShardedEngine:
                 raise ValueError("shard member ids must partition 0..n-1")
             self.shard_of[member_ids] = s
         self.is_tree = self.specs[0].index_name in TREE_INDEX_NAMES
+        #: query dimensionality (None for snapshot-backed specs, whose
+        #: points stay in the workers).
+        self.dim = next(
+            (spec.points.shape[1] for spec in self.specs if spec.points is not None),
+            None,
+        )
         #: dynamic caches mutate on every lookup/admission, so query
         #: order is observable — mirror QueryEngine.search_many's
-        #: sequential fallback with one probe/refine round per query.
+        #: query-by-query order with one probe/refine round per query.
         self.dynamic_cache = any(
             (spec.cache_spec or {}).get("policy") == "lru"
             for spec in self.specs
@@ -217,11 +224,11 @@ class ShardedEngine:
                 carry a budget whose clock started at admission instead
                 of restarting it here.
         """
-        if k <= 0:
-            raise ValueError("k must be positive")
+        k = check_k(k)
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         if len(queries) == 0:
             return []
+        check_queries(queries, self.dim)
         if deadline is None:
             deadline = (
                 Deadline(self.deadline_s) if self.deadline_s is not None else None

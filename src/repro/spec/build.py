@@ -31,6 +31,7 @@ from repro.data.datasets import Dataset, load_dataset
 from repro.engine.engine import QueryEngine
 from repro.engine.stats import SearchResult
 from repro.faults.disk import FaultyDisk
+from repro.spec.errors import SpecError
 from repro.spec.registry import TREE_INDEX_NAMES, build_index
 from repro.spec.sections import (
     CacheSection,
@@ -354,6 +355,15 @@ def build_pipeline(
     if resilience is None:
         resilience = policy
     if spec.index.name in TREE_INDEX_NAMES:
+        if faults is not None and faults.active:
+            raise SpecError(
+                f"spec section [resilience] injects disk faults "
+                f"({spec.resilience.faults!r}), but the tree index "
+                f"{spec.index.name!r} reads its leaves from memory and has "
+                "no data file to fault. Workaround: drop resilience.faults, "
+                "or pick a candidate-set index (linear, vafile, c2lsh, ...).",
+                sections=("resilience", "index"),
+            )
         engine, context = _build_tree_engine(spec, dataset, context, metrics)
     else:
         if context is None:
@@ -482,6 +492,13 @@ def build_sharded(spec: PipelineSpec, dataset: Dataset | None = None, context=No
         raise ValueError(
             "C-VA tunes its encoder to the total budget and is not "
             "supported with --shards"
+        )
+    if spec.ordering != "raw":
+        raise SpecError(
+            f"spec ordering {spec.ordering!r} is not supported with "
+            "[shard]: each shard lays its data file out in raw id order. "
+            "Workaround: set ordering = \"raw\" or shard.n_shards = 0.",
+            sections=("shard",),
         )
     if dataset is None:
         dataset = resolve_dataset(spec.dataset)

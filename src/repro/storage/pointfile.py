@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.storage.disk import DiskConfig, SimulatedDisk
+from repro.storage.growable import append_rows
 from repro.storage.iostats import QueryIOTracker
 
 
@@ -40,6 +41,8 @@ class PointFile:
         if value_bytes <= 0:
             raise ValueError("value_bytes must be positive")
         self.points = points
+        #: Owned capacity buffer behind ``points`` once rows are appended.
+        self._points_buf: np.ndarray | None = None
         self.disk = disk or SimulatedDisk(DiskConfig())
         self.value_bytes = value_bytes
         n = len(points)
@@ -91,7 +94,9 @@ class PointFile:
         n_new = len(points)
         if n_new == 0:
             return np.empty(0, dtype=np.int64)
-        self.points = np.vstack([self.points, points])
+        self._points_buf, self.points = append_rows(
+            self._points_buf, self.points, points
+        )
         tail = np.arange(n_old, n_old + n_new, dtype=np.int64)
         self._order = np.concatenate([self._order, tail])
         self._position_of = np.concatenate([self._position_of, tail])

@@ -27,6 +27,7 @@ from repro.core.domain import ValueDomain
 from repro.core.encoder import GlobalHistogramEncoder
 from repro.engine import (
     ExecutionContext,
+    InvalidQueryError,
     PhaseHook,
     QueryEngine,
     TimingHook,
@@ -138,17 +139,6 @@ class TestBatchedEquivalence:
         for a, b in zip(per_query, batched):
             assert_results_identical(a, b)
 
-    def test_chunked_matches_unchunked(self, micro_points, queries):
-        pf = PointFile(micro_points)
-        engine = QueryEngine.for_index(
-            LinearScanIndex(len(micro_points)), pf, make_cache(micro_points)
-        )
-        for a, b in zip(
-            engine.search_many(queries, 5),
-            engine.search_many(queries, 5, chunk_size=3),
-        ):
-            assert_results_identical(a, b)
-
     def test_lru_cache_falls_back_to_sequential(self, micro_points, queries):
         pf = PointFile(micro_points)
 
@@ -159,7 +149,6 @@ class TestBatchedEquivalence:
             )
 
         engine = build_engine()
-        assert not engine._batchable_cache()
         per_query = []
         seq_engine = build_engine()
         for q in queries:
@@ -289,3 +278,81 @@ class TestHooks:
         ctx = ExecutionContext()
         engine.search(micro_points[0], 5, ctx=ctx)
         assert set(ctx.timings) == {"generate", "reduce", "refine"}
+
+
+class TestQueryValidation:
+    """Malformed queries and k raise ``InvalidQueryError`` on every index."""
+
+    @staticmethod
+    def _engines(points):
+        pf = PointFile(points)
+        for name, build in CANDIDATE_INDEXES.items():
+            yield name, QueryEngine.for_index(build(points), pf, make_cache(points))
+        for name, build in TREE_INDEXES.items():
+            yield name, QueryEngine.for_tree(
+                build(points), LeafNodeCache(make_encoder(points), 1 << 12)
+            )
+
+    def test_wrong_dimension_rejected(self, micro_points):
+        for name, engine in self._engines(micro_points):
+            with pytest.raises(InvalidQueryError, match="dimension"):
+                engine.search(np.array([0.5]), 5)
+            with pytest.raises(InvalidQueryError, match="dimension"):
+                engine.search_many(np.zeros((3, micro_points.shape[1] + 1)), 5)
+
+    def test_non_finite_rejected(self, micro_points):
+        d = micro_points.shape[1]
+        for name, engine in self._engines(micro_points):
+            for bad in (np.full(d, np.inf), np.r_[np.nan, np.zeros(d - 1)]):
+                with pytest.raises(InvalidQueryError, match="finite"):
+                    engine.search(bad, 5)
+                with pytest.raises(InvalidQueryError, match="finite"):
+                    engine.search_many(np.vstack([micro_points[0], bad]), 5)
+
+    @pytest.mark.parametrize("k", [0, -3, 2.5, True, "5", None])
+    def test_bad_k_rejected(self, micro_points, k):
+        for name, engine in self._engines(micro_points):
+            with pytest.raises(InvalidQueryError, match="k must be"):
+                engine.search(micro_points[0], k)
+            with pytest.raises(InvalidQueryError, match="k must be"):
+                engine.search_many(micro_points[:2], k)
+
+    def test_numpy_integer_k_and_batch_of_one(self, micro_points, queries):
+        pf = PointFile(micro_points)
+        engine = QueryEngine.for_index(
+            LinearScanIndex(len(micro_points)), pf, make_cache(micro_points)
+        )
+        want = engine.search(queries[0], 5)
+        (got,) = engine.search_many(queries[0], np.int64(5))
+        assert_results_identical(want, got)
+
+    def test_one_element_query_on_spec_pipelines(self, tiny_dataset, tiny_context):
+        """A 1-element query used to broadcast and answer silently."""
+        from repro.spec import CacheSection, IndexSection, PipelineSpec
+
+        for index_name in ("linear", "vafile"):
+            pipeline = PipelineSpec(
+                index=IndexSection(name=index_name),
+                cache=CacheSection(method="HC-O"),
+            ).build(dataset=tiny_dataset)
+            with pytest.raises(InvalidQueryError):
+                pipeline.engine.search(np.array([0.5]), 5)
+            with pytest.raises(ValueError):
+                pipeline.engine.search_many(np.array([[0.5]]), 5)
+
+    def test_sharded_engine_validates_like_the_engine(self, tiny_dataset, tiny_context):
+        from repro.spec import CacheSection, IndexSection, PipelineSpec, ShardSection
+
+        spec = PipelineSpec(
+            index=IndexSection(name="linear"),
+            cache=CacheSection(method="HC-O"),
+            shard=ShardSection(n_shards=2),
+        )
+        engine, _ = spec.build_sharded(dataset=tiny_dataset)
+        with engine:
+            with pytest.raises(InvalidQueryError, match="dimension"):
+                engine.search(np.array([0.5]), 5)
+            with pytest.raises(InvalidQueryError, match="finite"):
+                engine.search_many(np.full((1, tiny_dataset.points.shape[1]), np.nan), 5)
+            with pytest.raises(InvalidQueryError, match="k must be"):
+                engine.search_many(tiny_dataset.query_log.test[:1], 0)

@@ -17,7 +17,10 @@ no matter which kernel produced them:
 
 from __future__ import annotations
 
+import hashlib
 import os
+import subprocess
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +41,7 @@ from repro.core.encoder import (
     GlobalHistogramEncoder,
     IndividualHistogramEncoder,
 )
+from repro.core import kernels as kernels_mod
 from repro.core.histogram import Histogram
 from repro.core.kernels import (
     KERNEL_ENV,
@@ -45,6 +49,7 @@ from repro.core.kernels import (
     KernelUnavailableError,
     NativeKernel,
     TableGatherKernel,
+    auto_kernel,
     code_bounds,
     effective_kernel,
     native_available,
@@ -247,11 +252,32 @@ class TestKernelEquivalence:
 # ----------------------------------------------------------------------
 # Kernel resolution semantics
 # ----------------------------------------------------------------------
+def _without_native(monkeypatch):
+    monkeypatch.setattr(
+        kernels_mod, "native_available", lambda: (False, "no C compiler (stub)")
+    )
+
+
 class TestResolution:
-    def test_auto_is_numpy(self, monkeypatch):
+    @needs_native
+    def test_auto_is_native_when_available(self, monkeypatch):
         monkeypatch.delenv(KERNEL_ENV, raising=False)
-        assert resolve_kernel(None).name == "numpy"
-        assert resolve_kernel("auto").name == "numpy"
+        assert resolve_kernel(None).name == "native"
+        assert resolve_kernel("auto").name == "native"
+
+    def test_auto_is_numpy_without_native(self, monkeypatch):
+        monkeypatch.delenv(KERNEL_ENV, raising=False)
+        _without_native(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert resolve_kernel(None).name == "numpy"
+            assert resolve_kernel("auto").name == "numpy"
+
+    def test_env_native_unavailable_warns_and_uses_auto(self, monkeypatch):
+        monkeypatch.setenv(KERNEL_ENV, "native")
+        _without_native(monkeypatch)
+        with pytest.warns(RuntimeWarning, match="stub"):
+            assert resolve_kernel(None).name == "numpy"
 
     def test_env_var_selects(self, monkeypatch):
         monkeypatch.setenv(KERNEL_ENV, "decode")
@@ -266,7 +292,7 @@ class TestResolution:
     def test_env_unknown_degrades_with_warning(self, monkeypatch):
         monkeypatch.setenv(KERNEL_ENV, "simd")
         with pytest.warns(RuntimeWarning, match="simd"):
-            assert resolve_kernel(None).name == "numpy"
+            assert resolve_kernel(None).name == auto_kernel().name
 
     def test_unsupported_encoder_falls_back_to_decode(self):
         rng = np.random.default_rng(SEED)
@@ -286,6 +312,42 @@ class TestResolution:
             pytest.skip("native kernel is available here")
         with pytest.raises(KernelUnavailableError):
             resolve_kernel("native")
+
+    def test_native_explicit_raises_when_stubbed_unavailable(self, monkeypatch):
+        monkeypatch.setenv(KERNEL_ENV, "numpy")
+        _without_native(monkeypatch)
+        with pytest.raises(KernelUnavailableError, match="stub"):
+            resolve_kernel("native")
+
+
+class TestNativeCompile:
+    def test_compile_reads_a_private_source(self, monkeypatch, tmp_path):
+        """Two compiles into one empty cache never share a source file.
+
+        A shared ``bound_kernel_<sha>.c`` let a second process truncate
+        the source while the first process's compiler was reading it.
+        """
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+        monkeypatch.setenv("CC", "cc")
+        sources = []
+
+        def fake_run(cmd, **kwargs):
+            source = next(arg for arg in cmd if arg.endswith(".c"))
+            with open(source) as fh:
+                assert fh.read() == kernels_mod._C_SOURCE
+            sources.append(source)
+            return subprocess.CompletedProcess(cmd, 1, "", "stub compiler")
+
+        monkeypatch.setattr(kernels_mod.subprocess, "run", fake_run)
+        for _ in range(2):
+            with pytest.raises(KernelUnavailableError, match="stub compiler"):
+                kernels_mod._compile_native()
+        digest = hashlib.sha256(kernels_mod._C_SOURCE.encode()).hexdigest()[:16]
+        shared = str(tmp_path / f"bound_kernel_{digest}.c")
+        assert len(sources) == 2
+        assert len(set(sources)) == 2
+        assert shared not in sources
+        assert list(tmp_path.iterdir()) == []
 
 
 @needs_native

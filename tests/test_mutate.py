@@ -444,3 +444,60 @@ def test_loaded_snapshot_mutates_like_the_built_pipeline(tiny_dataset, tmp_path)
         assert np.array_equal(got.ids, want.ids)
         assert np.array_equal(got.distances, want.distances)
         assert np.array_equal(got.exact_mask, want.exact_mask)
+
+
+# ----------------------------------------------------------------------
+# Write path: in-place splices and capacity buffers
+# ----------------------------------------------------------------------
+def test_c2lsh_splice_matches_rebuild_after_every_insert():
+    """Spliced runs equal a from-scratch build, ties on hash included."""
+    from repro.lsh.c2lsh import C2LSHIndex
+
+    rng = np.random.default_rng(11)
+    # Few distinct coordinates, so many entries share a hash value and
+    # the (hash, id) tie order is exercised.
+    points = rng.integers(0, 4, size=(700, 6)).astype(np.float64)
+    index = C2LSHIndex(points[:400], seed=5)
+    for start, size in ((400, 1), (401, 16), (417, 83), (500, 200)):
+        index.insert_many(points[start : start + size])
+        ref = C2LSHIndex(
+            points[: start + size], seed=5, base_radius=index.base_radius
+        )
+        assert np.array_equal(index._sorted_ids, ref._sorted_ids)
+        assert np.array_equal(index._sorted_hashes, ref._sorted_hashes)
+        if ref._points is not None:
+            assert np.array_equal(index._points, ref._points)
+        query = points[start]
+        assert np.array_equal(index.candidates(query, 5), ref.candidates(query, 5))
+
+
+def test_append_keeps_capacity_and_never_writes_callers_array():
+    from repro.storage import PointFile
+
+    base = np.arange(30, dtype=np.float64).reshape(10, 3)
+    owner = np.vstack([base, np.full((5, 3), -1.0)])
+    segment = owner[:10]  # a prefix view of a larger caller array
+    data = MutableDataset(segment)
+    pf = PointFile(segment)
+    for step in range(6):
+        rows = np.full((2, 3), float(step))
+        data.append(rows)
+        pf.append(rows)
+    assert np.array_equal(owner[10:], np.full((5, 3), -1.0))
+    assert np.array_equal(data.points, pf.points)
+    assert np.array_equal(data.points[:10], base)
+    assert np.array_equal(data.points[10:], np.repeat(np.arange(6.0), 2)[:, None] * np.ones(3))
+    # Later appends reuse the buffer instead of reallocating it.
+    buffer = data._points_buf
+    data.append(np.zeros((1, 3)))
+    assert data._points_buf is buffer and data.points.base is buffer
+
+
+def test_mutable_dataset_rejected_append_changes_nothing():
+    """A bad attribute column used to raise after the rows were appended."""
+    data = MutableDataset(np.zeros((4, 3)), attributes={"label": np.arange(4)})
+    with pytest.raises(ValueError, match="label"):
+        data.append(np.ones((2, 3)), {"label": np.array([1])})
+    assert data.num_total == 4 and len(data.live) == 4
+    assert len(data.attributes["label"]) == 4
+    assert data.append(np.ones((1, 3))).tolist() == [4]

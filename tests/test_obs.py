@@ -9,6 +9,7 @@ enabling metrics never changes results or I/O counts.
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -367,41 +368,59 @@ class TestMetricsNeutrality:
             assert ra.stats == rb.stats
 
 
-class _BatchProbeSpy(PhaseHook):
-    """Records whether per-query contexts carry batch-probe wall time."""
+class _ReduceProbeSpy(PhaseHook):
+    """Times every ``cache.lookup`` and the ``reduce`` phase around it."""
 
-    def __init__(self):
-        self.probe_shares = []
+    def __init__(self, cache):
+        self.in_reduce = False
+        self.lookups = []  # per reduce phase: [(query bytes, seconds)]
+        self.reduce_s = []
+        self.reduce_queries = []
+        lookup = cache.lookup
+
+        def timed_lookup(query, ids):
+            start = time.perf_counter()
+            try:
+                return lookup(query, ids)
+            finally:
+                assert self.in_reduce, "cache.lookup ran outside reduce"
+                self.lookups[-1].append(
+                    (np.asarray(query).tobytes(), time.perf_counter() - start)
+                )
+
+        cache.lookup = timed_lookup
+
+    def on_phase_start(self, phase, ctx):
+        if phase == "reduce":
+            self.in_reduce = True
+            self.lookups.append([])
+            self.reduce_queries.append(ctx.query.tobytes())
 
     def on_phase_end(self, phase, ctx, elapsed_s):
         if phase == "reduce":
-            self.probe_shares.append(ctx.timings.get("batch_probe"))
+            self.in_reduce = False
+            self.reduce_s.append(ctx.timings["reduce"])
 
 
-class TestBatchProbeAttribution:
-    def test_batch_probe_time_lands_in_query_contexts(
-        self, tiny_dataset, tiny_context
-    ):
-        """Regression: the chunk's union cache probe ran under a throwaway
-        context, so its wall time vanished from every per-query timing."""
-        spy = _BatchProbeSpy()
+class TestProbeAttribution:
+    def test_reduce_timing_contains_own_lookup(self, tiny_dataset, tiny_context):
+        """Each query's ``reduce`` time covers exactly one cache probe:
+        its own, bounding its own candidates."""
         pipeline = PipelineSpec(cache=CacheSection(method="HC-O")).build(
             dataset=tiny_dataset, context=tiny_context
         )
+        spy = _ReduceProbeSpy(pipeline.engine.cache)
         pipeline.engine.hooks = (spy,)
         queries = tiny_dataset.query_log.test[:6]
         pipeline.search_many(queries)
-        assert len(spy.probe_shares) == len(queries)
-        assert all(share is not None and share > 0 for share in spy.probe_shares)
-
-    def test_batch_probe_phase_in_metrics(self, tiny_dataset, tiny_context):
-        reg = MetricsRegistry()
-        pipeline = PipelineSpec(cache=CacheSection(method="HC-O")).build(
-            dataset=tiny_dataset, context=tiny_context, metrics=reg
-        )
-        pipeline.search_many(tiny_dataset.query_log.test[:6])
-        hist = reg.get("engine_phase_seconds", phase="batch_probe")
-        assert hist is not None and hist.count >= 1
+        assert len(spy.reduce_s) == len(queries)
+        for query, lookups, reduce_s in zip(
+            spy.reduce_queries, spy.lookups, spy.reduce_s
+        ):
+            assert len(lookups) == 1
+            own_query, lookup_s = lookups[0]
+            assert own_query == query
+            assert 0 < lookup_s <= reduce_s
 
 
 class TestObservedVsPredicted:

@@ -19,6 +19,7 @@ from repro.eval.runner import Experiment
 from repro.faults import FaultyDisk
 from repro.serve import server_from_spec
 from repro.spec.build import build_pipeline
+from repro.spec.errors import SpecError
 from repro.spec.sections import (
     CacheSection,
     DatasetSection,
@@ -260,3 +261,38 @@ def test_sharded_build_honours_cache_policy(tiny_dataset, tiny_context):
     for got, want in zip(results, uncached.search_many(queries)):
         assert np.array_equal(got.ids, want.ids)
         assert np.allclose(got.distances, want.distances)
+
+
+class TestSilentlyDroppedSectionsRejected:
+    """Spec sections a build cannot honour raise instead of vanishing."""
+
+    @pytest.mark.parametrize("index_name", ["idistance", "vptree", "mtree"])
+    def test_tree_index_rejects_disk_faults(self, micro_dataset, index_name):
+        spec = dataclasses.replace(FAULTY, index=IndexSection(name=index_name))
+        with pytest.raises(SpecError) as info:
+            spec.build(dataset=micro_dataset)
+        assert set(info.value.sections) == {"resilience", "index"}
+        assert "Workaround" in str(info.value)
+
+    def test_tree_index_without_faults_still_builds(self, micro_dataset):
+        spec = PipelineSpec(
+            index=IndexSection(name="vptree"),
+            cache=CacheSection(method="HC-O", cache_bytes=4096),
+            resilience=ResilienceSection(enabled=True, max_retries=0),
+            k=5,
+        )
+        pipeline = spec.build(dataset=micro_dataset)
+        assert len(pipeline.search_many(micro_dataset.query_log.test[:2])) == 2
+
+    @pytest.mark.parametrize("ordering", ["clustered", "sortedkey"])
+    def test_sharded_build_rejects_ordering(self, tiny_dataset, ordering):
+        spec = PipelineSpec(
+            index=IndexSection(name="c2lsh"),
+            cache=CacheSection(method="HC-O", cache_bytes=16384),
+            shard=ShardSection(n_shards=2),
+            ordering=ordering,
+        )
+        with pytest.raises(SpecError) as info:
+            spec.build_sharded(dataset=tiny_dataset)
+        assert info.value.sections == ("shard",)
+        assert ordering in str(info.value)
