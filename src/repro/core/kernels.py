@@ -1,4 +1,5 @@
-"""Decode-free bound kernels over packed codes ("exploit every bit").
+"""Decode-free bound kernels over packed codes ("exploit every bit"),
+and the native C2LSH collision-counting step.
 
 The hot loop of cached kNN search is: given a query and ``m`` cached
 tau-bit code rows, compute lower/upper Euclidean distance bounds.  The
@@ -58,6 +59,12 @@ and releases the GIL while it runs; the numpy fallback unpacks those
 rows first.  ``lookup_batch`` (one candidate set shared by a query
 batch, as in range search) still runs every query against the same
 rows in one call.
+
+The same C library holds ``repro_count_collisions``, one level of C2LSH
+candidate generation (see the "C2LSH collision counting" section below);
+:func:`collision_counter` returns it when :func:`native_available` holds
+and :func:`count_collisions_numpy` otherwise, and the load-time
+self-check covers it too.
 """
 
 from __future__ import annotations
@@ -299,6 +306,54 @@ int repro_packed_bounds(
     }
     return 0;
 }
+
+/* First index i in [a, b) with run[i] >= key, or b when there is none. */
+static ptrdiff_t lower_bound(const int64_t *run, ptrdiff_t a, ptrdiff_t b,
+                             int64_t key)
+{
+    while (a < b) {
+        ptrdiff_t mid = a + (b - a) / 2;
+        if (run[mid] < key)
+            a = mid + 1;
+        else
+            b = mid;
+    }
+    return a;
+}
+
+/* One virtual-rehashing level of C2LSH collision counting over m sorted
+ * runs of n entries; run t starts at hashes + t * hash_stride (its ids
+ * at ids + t * id_stride), so capacity buffers are read in place.  On
+ * entry lo[t]/hi[t] bound the previous level's range of run t, or
+ * lo[t] > hi[t] when there is none; the new range [key_lo[t],
+ * key_hi[t]) must contain the previous one.  Each run is searched only
+ * outside the previous range, counts gains 1 for every id in the added
+ * entries [lo, lo_prev) and [hi_prev, hi), and lo/hi receive the new
+ * range. */
+void repro_count_collisions(
+    const int64_t *hashes, ptrdiff_t hash_stride,
+    const int64_t *ids, ptrdiff_t id_stride,
+    ptrdiff_t m, ptrdiff_t n,
+    const int64_t *key_lo, const int64_t *key_hi,
+    int64_t *lo, int64_t *hi, int32_t *counts)
+{
+    for (ptrdiff_t t = 0; t < m; t++) {
+        const int64_t *run = hashes + t * hash_stride;
+        const int64_t *row = ids + t * id_stride;
+        ptrdiff_t prev_lo = (ptrdiff_t)lo[t], prev_hi = (ptrdiff_t)hi[t];
+        int first = prev_lo > prev_hi;
+        ptrdiff_t new_lo = lower_bound(run, 0, first ? n : prev_lo, key_lo[t]);
+        ptrdiff_t new_hi = lower_bound(run, first ? new_lo : prev_hi, n, key_hi[t]);
+        if (first)
+            prev_lo = prev_hi = new_hi;
+        for (ptrdiff_t i = new_lo; i < prev_lo; i++)
+            counts[row[i]] += 1;
+        for (ptrdiff_t i = prev_hi; i < new_hi; i++)
+            counts[row[i]] += 1;
+        lo[t] = new_lo;
+        hi[t] = new_hi;
+    }
+}
 """
 
 #: memoized (lib, unavailable_reason) pair; at most one is non-None.
@@ -357,16 +412,30 @@ def _compile_native() -> ctypes.CDLL:
         ctypes.c_void_p,
         ctypes.c_ssize_t,
     ] + [ctypes.c_void_p] * 4
+    count = lib.repro_count_collisions
+    count.restype = None
+    count.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t] * 2 + [
+        ctypes.c_ssize_t,
+        ctypes.c_ssize_t,
+    ] + [ctypes.c_void_p] * 5
     return lib
 
 
-def _native_self_check(kernel: "NativeKernel") -> None:
-    """Verify bit-identity against the NumPy kernels on random inputs.
+def _native_self_check(lib: ctypes.CDLL) -> None:
+    """Verify the native library against its NumPy twins on random inputs.
 
-    Covers all three pairwise-summation regimes (d < 8, 8 <= d <= 128,
-    d > 128) and a word-spill bit width.  Raises on any mismatch so the
-    kernel is marked unavailable rather than silently divergent.
+    The bound kernel must be bit-identical to the NumPy kernels in all
+    three pairwise-summation regimes (d < 8, 8 <= d <= 128, d > 128) and
+    at a word-spill bit width; the collision-counting step must match
+    :func:`count_collisions_numpy` on ranges, counts and run positions.
+    Raises on any mismatch so the library is marked unavailable rather
+    than silently divergent.
     """
+    _bound_self_check(NativeKernel(lib))
+    _count_self_check(_NativeCounter(lib))
+
+
+def _bound_self_check(kernel: "NativeKernel") -> None:
     rng = np.random.default_rng(0x5EED)
     table = TableGatherKernel()
     for d, bits in ((5, 4), (37, 13), (150, 8), (300, 7)):
@@ -409,8 +478,7 @@ def native_available() -> tuple[bool, str | None]:
     if _NATIVE_STATE is None:
         try:
             lib = _compile_native()
-            kernel = NativeKernel(lib)
-            _native_self_check(kernel)
+            _native_self_check(lib)
             _NATIVE_STATE = [lib, None]
         except KernelUnavailableError as exc:
             _NATIVE_STATE = [None, str(exc)]
@@ -558,6 +626,167 @@ def _native_kernel() -> "NativeKernel":
 
 
 _NATIVE_SINGLETON: NativeKernel | None = None
+
+
+# ----------------------------------------------------------------------
+# C2LSH collision counting
+# ----------------------------------------------------------------------
+# C2LSH (repro.lsh.c2lsh) widens every hash function's bucket level by
+# level, and each level's range of a sorted run contains the previous
+# level's.  A counting step therefore searches each run only outside
+# the previous range and counts only the entries the level added.  The
+# C step reads the runs in place through their row stride, so the
+# capacity buffers behind inserts and mmapped snapshot arrays need no
+# copy; it releases the GIL while it runs.
+def expand_ranges(
+    starts: np.ndarray, stops: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(which, values)`` enumerating every range ``[starts[i], stops[i])``.
+
+    ``values`` lists the integers of each range in order, range after
+    range, and ``which[j]`` is the index of the range ``values[j]`` came
+    from.  Empty and inverted ranges contribute nothing.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.maximum(np.asarray(stops, dtype=np.int64) - starts, 0)
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    which = np.repeat(np.arange(len(starts)), lengths)
+    values = np.arange(total, dtype=np.int64)
+    values += np.repeat(starts - (ends - lengths), lengths)
+    return which, values
+
+
+def count_collisions_numpy(
+    hashes: np.ndarray,
+    ids: np.ndarray,
+    key_lo: np.ndarray,
+    key_hi: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    counts: np.ndarray,
+) -> None:
+    """One counting level over ``m`` sorted runs, in NumPy.
+
+    ``hashes``/``ids`` are ``(m, n)``; run ``t`` is searched for
+    ``[key_lo[t], key_hi[t])``, a range that must contain the previous
+    level's ``[lo[t], hi[t])`` (``lo[t] > hi[t]``: no previous level).
+    Adds 1 to ``counts`` for every id the new ranges add and writes the
+    new ranges into ``lo``/``hi``.  The C ``repro_count_collisions``
+    step has the same contract.
+    """
+    m = len(key_lo)
+    new_lo = np.fromiter(
+        (run.searchsorted(key) for run, key in zip(hashes, key_lo)), np.int64, m
+    )
+    new_hi = np.fromiter(
+        (run.searchsorted(key) for run, key in zip(hashes, key_hi)), np.int64, m
+    )
+    first = lo > hi
+    lo[first] = hi[first] = new_hi[first]
+    which, pos = expand_ranges(
+        np.concatenate([new_lo, hi]), np.concatenate([lo, new_hi])
+    )
+    np.add.at(counts, ids[which % m, pos], 1)
+    lo[:] = new_lo
+    hi[:] = new_hi
+
+
+class _NativeCounter:
+    """The C counting step; same call as :func:`count_collisions_numpy`."""
+
+    def __init__(self, lib: ctypes.CDLL) -> None:
+        self._fn = lib.repro_count_collisions
+
+    def __call__(self, hashes, ids, key_lo, key_hi, lo, hi, counts) -> None:
+        for runs in (hashes, ids):
+            # Rows may sit at any stride; entries within a row are adjacent.
+            if runs.dtype != np.int64 or runs.ndim != 2 or runs.strides[1] != 8:
+                raise ValueError("sorted runs must be int64 rows of unit stride")
+        key_lo = np.ascontiguousarray(key_lo, dtype=np.int64)
+        key_hi = np.ascontiguousarray(key_hi, dtype=np.int64)
+        m, n = hashes.shape
+        # The C loop trusts these: every id of a run indexes ``counts``
+        # (the runs are permutations of 0..n-1) and each array has a row.
+        for array, dtype, size in (
+            (key_lo, np.int64, m),
+            (key_hi, np.int64, m),
+            (lo, np.int64, m),
+            (hi, np.int64, m),
+            (counts, np.int32, n),
+        ):
+            if (
+                array.dtype != dtype
+                or array.shape != (size,)
+                or not array.flags.c_contiguous
+            ):
+                raise ValueError(f"counting arrays must be contiguous {dtype}[{size}]")
+        if ids.shape != hashes.shape:
+            raise ValueError("hash and id runs must have the same shape")
+        self._fn(
+            hashes.ctypes.data,
+            hashes.strides[0] // 8,
+            ids.ctypes.data,
+            ids.strides[0] // 8,
+            m,
+            n,
+            key_lo.ctypes.data,
+            key_hi.ctypes.data,
+            lo.ctypes.data,
+            hi.ctypes.data,
+            counts.ctypes.data,
+        )
+
+
+def _count_self_check(counter: _NativeCounter) -> None:
+    """Compare the C counting step with NumPy on random nested levels.
+
+    The runs hold negative hashes and sit both in a contiguous array and
+    as the prefix of a wider buffer (a row stride larger than ``n``).
+    """
+    rng = np.random.default_rng(0xC2)
+    m, n = 9, 257
+    for capacity in (n, 2 * n + 3):
+        hashes = np.zeros((m, capacity), dtype=np.int64)
+        ids = np.zeros((m, capacity), dtype=np.int64)
+        hashes[:, :n] = np.sort(rng.integers(-60, 60, size=(m, n)), axis=1)
+        ids[:, :n] = np.argsort(rng.random((m, n)), axis=1)
+        runs, run_ids = hashes[:, :n], ids[:, :n]
+        hq = rng.integers(-70, 70, size=m)
+        state = [
+            (np.full(m, n, dtype=np.int64), np.zeros(m, dtype=np.int64),
+             np.zeros(n, dtype=np.int32))
+            for _ in range(2)
+        ]
+        radius = 1
+        for _ in range(7):
+            key_lo = hq // radius * radius
+            key_hi = key_lo + radius
+            for step, (lo, hi, counts) in zip(
+                (counter, count_collisions_numpy), state
+            ):
+                step(runs, run_ids, key_lo, key_hi, lo, hi, counts)
+            if not all(np.array_equal(a, b) for a, b in zip(*state)):
+                raise KernelUnavailableError(
+                    "native collision-count self-check failed (capacity "
+                    f"{capacity}, radius {radius}); the C step diverges "
+                    "from numpy on this platform"
+                )
+            radius *= 3
+
+
+def collision_counter():
+    """The C2LSH counting step: native when :func:`native_available`
+    holds, :func:`count_collisions_numpy` otherwise."""
+    global _NATIVE_COUNTER
+    if not native_available()[0]:
+        return count_collisions_numpy
+    if _NATIVE_COUNTER is None:
+        _NATIVE_COUNTER = _NativeCounter(_NATIVE_STATE[0])
+    return _NATIVE_COUNTER
+
+
+_NATIVE_COUNTER: _NativeCounter | None = None
 
 
 def effective_kernel(kernel: BoundKernel, encoder) -> BoundKernel:

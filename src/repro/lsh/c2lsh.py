@@ -10,10 +10,21 @@ value) serves every radius.  The search enlarges ``R`` by the
 approximation ratio ``c`` until ``k + beta*n`` candidates collide often
 enough.
 
+Counting is incremental.  The radius grows by the integer ``c``, so a
+level's bucket contains the previous level's and each run's range of
+entries only widens.  Each level therefore counts only the entries it
+adds, ``[lo, lo_prev)`` and ``[hi_prev, hi)`` of every run, in one call
+to the counting step of :mod:`repro.core.kernels`: native C when
+:func:`~repro.core.kernels.native_available` holds (it searches the
+runs in place and releases the GIL), NumPy otherwise.  The key bounds
+``bucket * R`` and ``(bucket + 1) * R`` are computed here in NumPy,
+whose ``//`` floors negative hashes where C's ``/`` would truncate.
+
 Index I/O: each hash table is a sorted run of (hash, id) entries on disk;
 a query reads the contiguous range of pages covering its collision
-interval at each level (ranges at successive levels nest, so pages
-dedupe within a query).
+interval at each level.  The ranges nest, so the pages of the last
+level's ranges are every page the query read; they are charged once,
+as one page array, when the search stops.
 """
 
 from __future__ import annotations
@@ -23,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.kernels import collision_counter, expand_ranges
 from repro.lsh.hashes import PStableHashFamily, collision_probability
 from repro.storage.growable import append_rows, prefix, reserve
 from repro.storage.iostats import QueryIOTracker
@@ -53,9 +65,12 @@ class C2LSHParams:
     #: Enable C2LSH's second termination condition (T2): stop as soon as
     #: k candidates lie within distance c*R of the query.  The original
     #: system interleaves these distance evaluations with refinement; in
-    #: this phase-separated reproduction T2 is evaluated in memory and
-    #: only tightens the candidate set (the fetches are charged when the
-    #: refinement phase actually reads the points).
+    #: this phase-separated reproduction T2 reads the index's in-memory
+    #: copy of the points (``self._points``) and charges no page, so
+    #: ``gen_page_reads`` leaves those reads out.  It only tightens the
+    #: candidate set; the fetches are charged when the refinement phase
+    #: reads the points.  Cached and uncached pipelines share the index,
+    #: so both leave out the same reads and comparisons stay fair.
     use_t2: bool = False
 
     def __post_init__(self) -> None:
@@ -243,17 +258,21 @@ class C2LSHIndex:
         """On-disk size of the hash tables."""
         return self.n_hashes * self.n_points * self.ENTRY_BYTES
 
-    def _charge_range(
-        self, table: int, lo: int, hi: int, tracker: QueryIOTracker | None
+    def _charge_pages(
+        self, lo: np.ndarray, hi: np.ndarray, tracker: QueryIOTracker
     ) -> None:
-        """Charge page reads for a contiguous run of table entries."""
-        if tracker is None or hi <= lo:
-            return
-        first = lo // self.entries_per_page
-        last = (hi - 1) // self.entries_per_page
-        base = table * self._pages_per_table
-        for page in range(first, last + 1):
-            tracker.needs_read(base + page)
+        """Charge the index pages of each run's entry range ``[lo, hi)``.
+
+        The ranges of successive levels nest, so the last level's range
+        of a run covers every entry any level read; charging its pages
+        once charges the same page set as a charge per level.
+        """
+        read = np.flatnonzero(hi > lo)
+        first = lo[read] // self.entries_per_page
+        stop = (hi[read] - 1) // self.entries_per_page + 1
+        which, pages = expand_ranges(first, stop)
+        pages += read[which] * self._pages_per_table
+        tracker.needs_reads(pages.tolist())
 
     def candidates(
         self, query: np.ndarray, k: int, tracker: QueryIOTracker | None = None
@@ -267,29 +286,31 @@ class C2LSHIndex:
             raise ValueError("k must be positive")
         query = np.asarray(query, dtype=np.float64)
         hq = self.family.hash(query[None, :])[0]  # (m,)
-        target = k + max(1, int(self.params.beta * self.n_points))
-        counts = np.zeros(self.n_points, dtype=np.int32)
+        n = self.n_points
+        target = k + max(1, int(self.params.beta * n))
+        count_level = collision_counter()
+        counts = np.zeros(n, dtype=np.int32)
+        # Each run's entry range at the current level (lo > hi: none yet).
+        lo = np.full(self.n_hashes, n, dtype=np.int64)
+        hi = np.zeros(self.n_hashes, dtype=np.int64)
         radius = 1
         for _ in range(self.params.max_levels):
-            counts[:] = 0
-            whole = 0
-            for i in range(self.n_hashes):
-                bucket = hq[i] // radius
-                lo = int(
-                    np.searchsorted(self._sorted_hashes[i], bucket * radius, "left")
-                )
-                hi = int(
-                    np.searchsorted(
-                        self._sorted_hashes[i], (bucket + 1) * radius, "left"
-                    )
-                )
-                self._charge_range(i, lo, hi, tracker)
-                counts[self._sorted_ids[i, lo:hi]] += 1
-                if hi - lo == self.n_points:
-                    whole += 1
+            # Key bounds in numpy: ``//`` floors negative hashes, where
+            # C's ``/`` would truncate them toward zero.
+            bucket = hq // radius
+            count_level(
+                self._sorted_hashes,
+                self._sorted_ids,
+                bucket * radius,
+                (bucket + 1) * radius,
+                lo,
+                hi,
+                counts,
+            )
             hits = counts >= self.collision_threshold
-            found = int(np.sum(hits))
-            if found >= min(target, self.n_points) or whole == self.n_hashes:
+            found = int(np.count_nonzero(hits))
+            whole = int(np.count_nonzero(hi - lo == n))
+            if found >= min(target, n) or whole == self.n_hashes:
                 break
             if self._points is not None and found >= k:
                 # T2: enough candidates already proven near (dist <= c*R).
@@ -299,6 +320,8 @@ class C2LSHIndex:
                 if int(np.sum(dists <= bound)) >= k:
                     break
             radius *= self.params.c
+        if tracker is not None:
+            self._charge_pages(lo, hi, tracker)
         ids = np.flatnonzero(counts >= self.collision_threshold)
         if ids.size == 0:
             # Degenerate fallback: return the heaviest colliders so the

@@ -15,7 +15,7 @@ index and cache coherent under churn:
 """
 
 from repro.mutate.advisor import AdvisorDecision, MutationAdvisor
-from repro.mutate.dataset import MutableDataset, snap_to_domain
+from repro.mutate.dataset import InvalidPointsError, MutableDataset, snap_to_domain
 from repro.mutate.overlay import merge_topk, overlay_result
 from repro.mutate.pipeline import (
     MutablePipeline,
@@ -33,6 +33,7 @@ from repro.mutate.snapshot import (
 
 __all__ = [
     "AdvisorDecision",
+    "InvalidPointsError",
     "MutableDataset",
     "MutablePipeline",
     "MutationAdvisor",

@@ -132,6 +132,13 @@ def resolve_policy(name: str) -> CachePolicy:
 def build_resilience(section: ResilienceSection):
     """``(FaultSpec | None, ResiliencePolicy | None)`` from the section."""
     if not section.enabled:
+        if section.faults:
+            raise SpecError(
+                f"spec section [resilience] names faults ({section.faults!r}) "
+                "but is disabled, so no fault would be injected. Workaround: "
+                "set resilience.enabled = true, or drop resilience.faults.",
+                sections=("resilience",),
+            )
         return None, None
     from repro.faults import ResiliencePolicy, RetryPolicy, parse_fault_spec
 
@@ -355,6 +362,15 @@ def build_pipeline(
     if resilience is None:
         resilience = policy
     if spec.index.name in TREE_INDEX_NAMES:
+        if spec.ordering != "raw":
+            raise SpecError(
+                f"spec ordering {spec.ordering!r} is not supported with the "
+                f"tree index {spec.index.name!r}: it keeps its leaves in "
+                "memory and has no data file to lay out. Workaround: set "
+                "ordering = \"raw\", or pick a candidate-set index (linear, "
+                "vafile, c2lsh, ...).",
+                sections=("index",),
+            )
         if faults is not None and faults.active:
             raise SpecError(
                 f"spec section [resilience] injects disk faults "

@@ -285,6 +285,24 @@ class TestSilentlyDroppedSectionsRejected:
         assert len(pipeline.search_many(micro_dataset.query_log.test[:2])) == 2
 
     @pytest.mark.parametrize("ordering", ["clustered", "sortedkey"])
+    def test_tree_index_rejects_ordering(self, micro_dataset, ordering):
+        spec = PipelineSpec(index=IndexSection(name="vptree"), ordering=ordering)
+        with pytest.raises(SpecError) as info:
+            spec.build(dataset=micro_dataset)
+        assert info.value.sections == ("index",)
+        assert "ordering" in str(info.value) and ordering in str(info.value)
+        assert "Workaround" in str(info.value)
+
+    def test_disabled_resilience_rejects_faults(self, micro_dataset):
+        spec = dataclasses.replace(
+            FAULTY, resilience=ResilienceSection(enabled=False, faults="rate=1.0")
+        )
+        with pytest.raises(SpecError) as info:
+            spec.build(dataset=micro_dataset)
+        assert info.value.sections == ("resilience",)
+        assert "faults" in str(info.value) and "Workaround" in str(info.value)
+
+    @pytest.mark.parametrize("ordering", ["clustered", "sortedkey"])
     def test_sharded_build_rejects_ordering(self, tiny_dataset, ordering):
         spec = PipelineSpec(
             index=IndexSection(name="c2lsh"),
