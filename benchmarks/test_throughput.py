@@ -75,45 +75,47 @@ def test_cache_lookup_kernel(benchmark, pipelines):
 def run_kernel_comparison():
     """``search_many`` under each bound kernel (decode / numpy / native).
 
-    Reuses one engine and swaps kernels in place with
-    ``cache.set_kernel`` — kernels are bit-identical by contract, so the
-    answers are asserted byte-equal across runs before any timing is
-    reported.  The workload is Phase-2-bound: a linear candidate
-    generator with a full-file cache, so every query bounds the whole
-    cached code store.
+    The engine picks its kernel from the machine, so each run pins one
+    kernel object by patching ``repro.core.kernels.auto_kernel`` for its
+    duration; one engine serves every run.  Kernels are bit-identical
+    by contract, so the answers are asserted byte-equal across runs
+    before any timing is reported.  The workload is Phase-2-bound: a
+    linear candidate generator with a full-file cache, so every query
+    bounds the whole cached code store.
     """
-    from repro.core.kernels import native_available
+    from unittest import mock
+
+    from repro.core import kernels
 
     dataset, engine = get_engine(
         DATASET, method="HC-O", index_name="linear", cache_fraction=1.0
     )
     queries = dataset.query_log.test
-    cache = engine.cache
-    kernels = ["decode", "numpy"]
-    native_ok, native_reason = native_available()
+    candidates = [kernels._DECODE, kernels._TABLE]
+    native_ok, native_reason = kernels.native_available()
     if native_ok:
-        kernels.append("native")
+        candidates.append(kernels._native_kernel())
 
     runs = {}
     reference = None
-    for kernel in kernels:
-        cache.set_kernel(kernel)
-        engine.search_many(queries[:2], DEFAULT_K)  # warm up
-        started = time.perf_counter()
-        results = engine.search_many(queries, DEFAULT_K)
-        elapsed = time.perf_counter() - started
+    for kernel in candidates:
+        with mock.patch.object(kernels, "auto_kernel", lambda k=kernel: k):
+            assert engine.kernel_name == kernel.name
+            engine.search_many(queries[:2], DEFAULT_K)  # warm up
+            started = time.perf_counter()
+            results = engine.search_many(queries, DEFAULT_K)
+            elapsed = time.perf_counter() - started
         if reference is None:
             reference = results
         for base, got in zip(reference, results):
-            assert np.array_equal(base.ids, got.ids), kernel
-            assert np.array_equal(base.distances, got.distances), kernel
-            assert np.array_equal(base.exact_mask, got.exact_mask), kernel
-            assert base.stats == got.stats, kernel
-        runs[kernel] = {
+            assert np.array_equal(base.ids, got.ids), kernel.name
+            assert np.array_equal(base.distances, got.distances), kernel.name
+            assert np.array_equal(base.exact_mask, got.exact_mask), kernel.name
+            assert base.stats == got.stats, kernel.name
+        runs[kernel.name] = {
             "wall_time_s": elapsed,
             "queries_per_s": len(queries) / elapsed,
         }
-    cache.set_kernel(None)  # restore the engine's default for other tests
     for kernel, run in runs.items():
         run["speedup_vs_decode"] = (
             runs["decode"]["wall_time_s"] / run["wall_time_s"]

@@ -44,8 +44,9 @@ from repro.spec.sections import PipelineSpec
 from repro.storage.disk import DiskConfig, SimulatedDisk
 from repro.storage.pointfile import PointFile
 
-#: Manifest schema version; bump on any incompatible layout change.
-SNAPSHOT_FORMAT_VERSION = 1
+#: Manifest schema version; bump on any incompatible layout change
+#: (v2: specs and cache meta no longer name a bound kernel).
+SNAPSHOT_FORMAT_VERSION = 2
 
 
 def _disk_manifest(config) -> dict:

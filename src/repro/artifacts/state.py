@@ -155,7 +155,6 @@ def cache_state(cache) -> tuple[dict, dict]:
             "clock": int(cache._clock),
             "encoder": enc_meta,
             "telemetry": telemetry_state(cache.telemetry),
-            "kernel": getattr(cache, "_kernel_choice", None),
         }
         arrays = {
             "words": cache._store._words,
@@ -204,7 +203,6 @@ def cache_state(cache) -> tuple[dict, dict]:
             "used_bytes": int(cache.used_bytes),
             "encoder": enc_meta,
             "telemetry": telemetry_state(cache.telemetry),
-            "kernel": getattr(cache, "_kernel_choice", None),
         }
         arrays = {
             "leaf_ids": np.asarray(leaf_ids, dtype=np.int64),
@@ -250,7 +248,6 @@ def restore_cache(meta: dict, arrays: dict, points: np.ndarray | None = None):
             int(meta["capacity_bytes"]),
             exact=bool(meta["exact"]),
             value_bytes=int(meta["value_bytes"]),
-            kernel=meta.get("kernel"),
         )
         counts = np.asarray(arrays["counts"], dtype=np.int64)
         offsets = np.concatenate([[0], np.cumsum(counts)])
@@ -272,7 +269,6 @@ def restore_cache(meta: dict, arrays: dict, points: np.ndarray | None = None):
         cache.encoder = encoder
         cache.capacity_bytes = int(meta["capacity_bytes"])
         cache.policy = CachePolicy.LRU if lru else CachePolicy.HFF
-        cache._kernel_choice = meta.get("kernel")
         words = arrays["words"]
         cache._max_items = len(arrays["id_of_slot"])
         store = BitPackedMatrix(cache._max_items, encoder.n_fields, encoder.bits)

@@ -61,13 +61,6 @@ def _add_spec_args(
     parser.add_argument("--cache-kb", type=int, default=0,
                         help="cache size in KB (0 = 30%% of the file)")
     parser.add_argument("--index", default="c2lsh", choices=indexes)
-    parser.add_argument("--kernel", default="auto",
-                        choices=("auto", "decode", "numpy", "native"),
-                        help="bound kernel for approximate caches "
-                             "(repro.core.kernels; bit-identical results). "
-                             "'auto' honors REPRO_KERNEL and defaults to "
-                             "the numpy table-gather kernel; 'native' "
-                             "compiles a C kernel on first use")
 
 
 def _add_metrics_args(parser: argparse.ArgumentParser) -> None:
@@ -85,10 +78,7 @@ def _add_metrics_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_run_args(parser: argparse.ArgumentParser) -> None:
-    """Batching, plus the spec's shard and resilience sections."""
-    parser.add_argument("--batched", action="store_true",
-                        help="run the test queries through the engine's "
-                             "batched hot path (identical results/I/O)")
+    """The spec's shard and resilience sections."""
     parser.add_argument("--shards", type=int, default=0, metavar="N",
                         help="partition the dataset into N shards and run "
                              "the sharded parallel engine (0 = unsharded)")
@@ -191,7 +181,6 @@ def _spec_from_args(args, dataset) -> PipelineSpec:
             method=getattr(args, "method", CacheSection.method),
             tau=args.tau,
             cache_bytes=_resolve_cache(args, dataset),
-            kernel=args.kernel,
         ),
         k=args.k,
         seed=args.seed,
@@ -334,8 +323,7 @@ def cmd_experiment(args) -> int:
         return _run_adaptive_experiment(args, spec, dataset, context)
     registry = _metrics_registry(args)
     result = Experiment.from_spec(
-        spec, dataset, batched=args.batched,
-        metrics=registry if registry is not None else False,
+        spec, dataset, metrics=registry if registry is not None else False,
     ).run(context=context)
     print(format_table(_RESULT_HEADERS, _result_rows([result]),
                        title=f"{args.dataset} / {args.method}"))
@@ -368,8 +356,7 @@ def cmd_compare(args) -> int:
         )
         results.append(
             Experiment.from_spec(
-                method_spec, dataset, batched=args.batched,
-                metrics=registries.get(method, False),
+                method_spec, dataset, metrics=registries.get(method, False),
             ).run(context=context)
         )
     print(format_table(

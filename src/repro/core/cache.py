@@ -26,6 +26,7 @@ import numpy as np
 from repro.core.bitpack import BitPackedMatrix
 from repro.core.bounds import exact_distances
 from repro.core.encoder import PointEncoder
+from repro.core.kernels import kernel_for
 from repro.obs.telemetry import CacheTelemetry
 
 
@@ -248,9 +249,10 @@ class ApproximateCache(PointCache):
             word-rounded packed rows that fit.
         n_points: dataset cardinality (for the id -> slot table).
         policy: HFF (static, default) or LRU (dynamic).
-        kernel: bound-kernel name (``repro.core.kernels``); ``None``
-            defers to the ``REPRO_KERNEL`` environment default.  All
-            kernels are bit-identical, so this is purely a speed knob.
+
+    Bounds come from :func:`repro.core.kernels.kernel_for`, which picks
+    the kernel from the machine and the encoder; all kernels are
+    bit-identical.
     """
 
     def __init__(
@@ -259,7 +261,6 @@ class ApproximateCache(PointCache):
         capacity_bytes: int,
         n_points: int,
         policy: CachePolicy = CachePolicy.HFF,
-        kernel: str | None = None,
     ) -> None:
         if capacity_bytes < 0:
             raise ValueError("capacity_bytes must be non-negative")
@@ -268,7 +269,6 @@ class ApproximateCache(PointCache):
         self.encoder = encoder
         self.capacity_bytes = capacity_bytes
         self.policy = policy
-        self._kernel_choice = kernel
         probe = BitPackedMatrix(0, encoder.n_fields, encoder.bits)
         self._max_items = min(capacity_bytes // probe.row_bytes, n_points)
         self._store = BitPackedMatrix(
@@ -283,39 +283,8 @@ class ApproximateCache(PointCache):
 
     # ------------------------------------------------------------------
     @property
-    def kernel(self):
-        """The resolved bound kernel (lazy; honors ``REPRO_KERNEL``).
-
-        Resolution is deferred and memoized so snapshot-restored caches
-        (built via ``__new__``) and unpickled caches work without
-        carrying a kernel object; ``_kernel_choice`` may be absent on
-        instances restored by older code paths.
-        """
-        kern = self.__dict__.get("_kernel_obj")
-        if kern is None:
-            from repro.core.kernels import effective_kernel, resolve_kernel
-
-            kern = effective_kernel(
-                resolve_kernel(getattr(self, "_kernel_choice", None)),
-                self.encoder,
-            )
-            self.__dict__["_kernel_obj"] = kern
-        return kern
-
-    @property
     def kernel_name(self) -> str:
-        return self.kernel.name
-
-    def set_kernel(self, kernel: str | None) -> None:
-        """Re-select the bound kernel (results are bit-identical)."""
-        self._kernel_choice = kernel
-        self.__dict__.pop("_kernel_obj", None)
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        # Kernel objects may hold ctypes handles; re-resolve after unpickle.
-        state.pop("_kernel_obj", None)
-        return state
+        return kernel_for(self.encoder).name
 
     # ------------------------------------------------------------------
     @property
@@ -399,7 +368,7 @@ class ApproximateCache(PointCache):
         ub = np.full(len(ids), np.inf, dtype=np.float64)
         if np.any(hits):
             query = np.atleast_2d(np.asarray(query, dtype=np.float64))
-            lbh, ubh = self.kernel.packed_bounds(
+            lbh, ubh = kernel_for(self.encoder).packed_bounds(
                 query, self._store, slots[hits], self.encoder
             )
             lb[hits], ub[hits] = lbh[0], ubh[0]
@@ -419,7 +388,7 @@ class ApproximateCache(PointCache):
         lb = np.zeros((len(queries), len(ids)), dtype=np.float64)
         ub = np.full((len(queries), len(ids)), np.inf, dtype=np.float64)
         if np.any(hits):
-            lb[:, hits], ub[:, hits] = self.kernel.packed_bounds(
+            lb[:, hits], ub[:, hits] = kernel_for(self.encoder).packed_bounds(
                 queries, self._store, slots[hits], self.encoder
             )
             if self.policy is CachePolicy.LRU:
@@ -681,7 +650,6 @@ class LeafNodeCache:
         capacity_bytes: int,
         exact: bool = False,
         value_bytes: int = 4,
-        kernel: str | None = None,
     ) -> None:
         if capacity_bytes < 0:
             raise ValueError("capacity_bytes must be non-negative")
@@ -691,7 +659,6 @@ class LeafNodeCache:
         self.capacity_bytes = capacity_bytes
         self.exact = exact
         self.value_bytes = value_bytes
-        self._kernel_choice = kernel
         self.used_bytes = 0
         #: leaf id -> (point_ids, payload, entry cost in bytes).
         self._entries: dict[int, tuple[np.ndarray, object, int]] = {}
@@ -786,32 +753,9 @@ class LeafNodeCache:
             dist = exact_distances(query, payload)
             return point_ids, dist, dist.copy()
         query = np.atleast_2d(np.asarray(query, dtype=np.float64))
-        lb, ub = self.kernel.bounds(query, payload, self.encoder)
+        lb, ub = kernel_for(self.encoder).bounds(query, payload, self.encoder)
         return point_ids, lb[0], ub[0]
 
     @property
-    def kernel(self):
-        """Resolved bound kernel (lazy, like ``ApproximateCache.kernel``)."""
-        kern = self.__dict__.get("_kernel_obj")
-        if kern is None:
-            from repro.core.kernels import effective_kernel, resolve_kernel
-
-            kern = effective_kernel(
-                resolve_kernel(getattr(self, "_kernel_choice", None)),
-                self.encoder,
-            )
-            self.__dict__["_kernel_obj"] = kern
-        return kern
-
-    @property
     def kernel_name(self) -> str:
-        return "exact" if self.exact else self.kernel.name
-
-    def set_kernel(self, kernel: str | None) -> None:
-        self._kernel_choice = kernel
-        self.__dict__.pop("_kernel_obj", None)
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state.pop("_kernel_obj", None)
-        return state
+        return "exact" if self.exact else kernel_for(self.encoder).name

@@ -44,14 +44,11 @@ kernels agree on every output bit, and therefore on answer sets, prune
 counts and telemetry.  ``tests/test_kernel_differential.py`` enforces
 this across index x cache cells.
 
-Selection (:func:`resolve_kernel`): an explicit argument (spec/CLI
-``--kernel``) wins, then the ``REPRO_KERNEL`` environment variable
-(``auto`` | ``decode`` | ``numpy`` | ``native``), then ``auto``.
-``auto`` means ``native`` when :func:`native_available` holds (a C
-compiler is present and the load-time self-check passes) and ``numpy``
-otherwise.  An explicit request for an unknown or unavailable kernel
-raises; an environment-sourced one warns and uses the ``auto`` kernel,
-so a mis-set variable never breaks a running service.
+Selection (:func:`kernel_for`) has no option: ``native`` when
+:func:`native_available` holds (a C compiler is present and the
+load-time self-check passes), ``numpy`` otherwise, and ``decode`` for
+encoders without per-bucket structure.  The kernels differ only in
+speed, so there is nothing for a caller to choose.
 
 The engine calls :meth:`BoundKernel.packed_bounds` once per query with
 that query's own cached candidates.  The native kernel decodes nothing
@@ -75,19 +72,15 @@ import os
 import shutil
 import subprocess
 import tempfile
-import warnings
 
 import numpy as np
 
 from repro.core.bitpack import BitPackedMatrix
 from repro.core.bounds import batch_rectangle_bounds
 
-KERNEL_ENV = "REPRO_KERNEL"
-KERNEL_CHOICES = ("auto", "decode", "numpy", "native")
-
 
 class KernelUnavailableError(RuntimeError):
-    """An explicitly requested kernel cannot run in this environment."""
+    """The native library did not compile or failed its self-check."""
 
 
 # ----------------------------------------------------------------------
@@ -572,50 +565,9 @@ _DECODE = DecodeKernel()
 _TABLE = TableGatherKernel()
 
 
-def resolve_kernel(choice: str | None = None) -> BoundKernel:
-    """Resolve a kernel name: explicit argument > ``REPRO_KERNEL`` > auto.
-
-    ``auto`` (and ``None``) defer to the environment variable, and with
-    neither set resolve to :func:`auto_kernel`.  An unknown or
-    unavailable kernel raises when it was passed as the argument; when it
-    came from the environment it warns and the ``auto`` kernel is used,
-    so a mis-set variable never breaks a running service.
-    """
-    from_env = choice in (None, "auto")
-    if from_env:
-        choice = os.environ.get(KERNEL_ENV) or "auto"
-    try:
-        return _kernel_named(choice.lower())
-    except (ValueError, KernelUnavailableError) as exc:
-        if not from_env:
-            raise
-        fallback = auto_kernel()
-        warnings.warn(
-            f"{KERNEL_ENV}={choice!r}: {exc}; using the {fallback.name} kernel",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return fallback
-
-
 def auto_kernel() -> BoundKernel:
     """Native when it compiled and passed its self-check, else numpy."""
     return _native_kernel() if native_available()[0] else _TABLE
-
-
-def _kernel_named(name: str) -> BoundKernel:
-    if name == "auto":
-        return auto_kernel()
-    if name == "decode":
-        return _DECODE
-    if name == "numpy":
-        return _TABLE
-    if name == "native":
-        ok, reason = native_available()
-        if not ok:
-            raise KernelUnavailableError(reason)
-        return _native_kernel()
-    raise ValueError(f"unknown kernel {name!r}; choose from {KERNEL_CHOICES}")
 
 
 def _native_kernel() -> "NativeKernel":
@@ -794,13 +746,13 @@ def effective_kernel(kernel: BoundKernel, encoder) -> BoundKernel:
     return kernel if kernel.supports(encoder) else _DECODE
 
 
+def kernel_for(encoder) -> BoundKernel:
+    """The bound kernel for ``encoder`` on this machine (the one rule)."""
+    return effective_kernel(auto_kernel(), encoder)
+
+
 def code_bounds(
-    queries: np.ndarray,
-    codes: np.ndarray,
-    encoder,
-    kernel: BoundKernel | str | None = None,
+    queries: np.ndarray, codes: np.ndarray, encoder
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Convenience: resolve + encoder fallback + compute in one call."""
-    if not isinstance(kernel, BoundKernel):
-        kernel = resolve_kernel(kernel)
-    return effective_kernel(kernel, encoder).bounds(queries, codes, encoder)
+    """Bounds of unpacked ``codes`` through :func:`kernel_for`."""
+    return kernel_for(encoder).bounds(queries, codes, encoder)

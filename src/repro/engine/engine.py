@@ -179,7 +179,7 @@ class QueryEngine:
 
         ``exact``/``none`` caches compute distances rather than bounds
         and report their own label; approximate caches report the
-        resolved :mod:`repro.core.kernels` kernel.
+        kernel :func:`repro.core.kernels.kernel_for` picks.
         """
         cache = self.cache
         if self.source.is_tree:

@@ -93,14 +93,6 @@ class Experiment:
     ordering: str = "raw"
     policy: CachePolicy = CachePolicy.HFF
     seed: int = 0
-    #: Bound-kernel selection for approximate caches
-    #: (``repro.core.kernels``): ``auto`` honors ``REPRO_KERNEL`` and
-    #: defaults to the numpy table-gather kernel.  Bit-identical across
-    #: kernels — a speed knob, never an accuracy knob.
-    kernel: str = "auto"
-    #: Execute the test queries through the engine's batched hot path
-    #: (identical results and I/O counts; different wall time).
-    batched: bool = False
     #: Retain every per-query ``QueryStats`` on the result.  Off by
     #: default: large sweeps would otherwise accumulate one record per
     #: query per configuration without bound.
@@ -130,7 +122,6 @@ class Experiment:
                 tau=self.tau,
                 cache_bytes=self.cache_bytes,
                 policy="lru" if self.policy is CachePolicy.LRU else "hff",
-                kernel=self.kernel,
             ),
             resilience=self.resilience,
             k=self.k,
@@ -153,7 +144,6 @@ class Experiment:
             ordering=spec.ordering,
             policy=resolve_policy(spec.cache.policy),
             seed=spec.seed,
-            kernel=spec.cache.kernel,
             resilience=spec.resilience,
             **kwargs,
         )
@@ -193,10 +183,7 @@ class Experiment:
             queries = self.dataset.query_log.test
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         started = time.perf_counter()
-        if self.batched:
-            results = pipeline.search_many(queries, self.k)
-        else:
-            results = [pipeline.search(q, self.k) for q in queries]
+        results = pipeline.search_many(queries, self.k)
         wall = time.perf_counter() - started
         stats = [r.stats for r in results]
         result = summarize(
@@ -287,7 +274,6 @@ def measure_m1(
     encoder: PointEncoder,
     context: WorkloadContext,
     k: int | None = None,
-    kernel: str | None = None,
 ) -> float:
     """The exact Metric (M1): candidates surviving reduction over ``WL``.
 
@@ -301,11 +287,10 @@ def measure_m1(
     ``rectangle_bounds`` loop — so the validator exercises what it
     validates.
     """
-    from repro.core.kernels import code_bounds, resolve_kernel
+    from repro.core.kernels import code_bounds
 
     k = k or context.k
     points = context.dataset.points
-    kern = resolve_kernel(kernel)
     total = 0.0
     for query, weight, cands in zip(
         context.distinct_queries, context.query_weights, context.candidate_sets
@@ -313,7 +298,7 @@ def measure_m1(
         if cands.size == 0:
             continue
         codes = encoder.encode(points[cands])
-        lb, ub = code_bounds(query[None, :], codes, encoder, kernel=kern)
+        lb, ub = code_bounds(query[None, :], codes, encoder)
         outcome = reduce_candidates(
             cands, np.ones(len(cands), dtype=bool), lb[0], ub[0], k
         )

@@ -309,8 +309,10 @@ class C2LSHIndex:
             )
             hits = counts >= self.collision_threshold
             found = int(np.count_nonzero(hits))
-            whole = int(np.count_nonzero(hi - lo == n))
-            if found >= min(target, n) or whole == self.n_hashes:
+            # Once every run spans the whole table each id has m >= l
+            # collisions, so this test also ends a search that ran out
+            # of table.
+            if found >= min(target, n):
                 break
             if self._points is not None and found >= k:
                 # T2: enough candidates already proven near (dist <= c*R).

@@ -457,7 +457,6 @@ class MutablePipeline:
                 old.capacity_bytes,
                 self.data.num_total,
                 policy=old.policy,
-                kernel=getattr(old, "_kernel_choice", None),
             )
         elif isinstance(old, ExactCache):
             fresh = ExactCache(

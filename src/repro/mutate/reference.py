@@ -118,7 +118,6 @@ class ReferenceTwin:
                     old.capacity_bytes,
                     exact=old.exact,
                     value_bytes=old.value_bytes,
-                    kernel=getattr(old, "_kernel_choice", None),
                 )
                 if pipeline.workload is not None:
                     leaf_cache.populate_by_frequency(
@@ -155,7 +154,6 @@ class ReferenceTwin:
                 old.capacity_bytes,
                 len(points),
                 policy=old.policy,
-                kernel=getattr(old, "_kernel_choice", None),
             )
         elif isinstance(old, ExactCache):
             cache = ExactCache(

@@ -174,14 +174,12 @@ def cache_recipe(
     method = cache.method
     if method == "NO-CACHE":
         return None
-    kernel = None if cache.kernel == "auto" else cache.kernel
     if index_name in TREE_INDEX_NAMES:
         recipe = {"kind": "leaf", "capacity_bytes": cache.cache_bytes, "k": k}
         if method == "EXACT":
             recipe["exact"] = True
         else:
             recipe["encoder"] = context.encoder(method, cache.tau)
-            recipe["kernel"] = kernel
         if dataset.query_log is not None:
             recipe["populate_workload"] = dataset.query_log.workload
         return recipe
@@ -204,10 +202,10 @@ def cache_recipe(
                 for j in range(dataset.dim)
             ]
         )
-        recipe = {"kind": "approx", "encoder": encoder, "kernel": kernel}
+        recipe = {"kind": "approx", "encoder": encoder}
     else:
         encoder = context.encoder(method, cache.tau)
-        recipe = {"kind": "approx", "encoder": encoder, "kernel": kernel}
+        recipe = {"kind": "approx", "encoder": encoder}
     recipe["capacity_bytes"] = cache.cache_bytes
     recipe["policy"] = cache.policy
     # C-VA holds the whole VA-file whatever the admission policy.
@@ -256,7 +254,6 @@ def build_cache(
             capacity,
             exact=bool(recipe.get("exact", False)),
             value_bytes=value_bytes,
-            kernel=recipe.get("kernel"),
         )
         workload = recipe.get("populate_workload")
         if workload is not None and len(workload):
@@ -280,7 +277,6 @@ def build_cache(
             capacity,
             len(points),
             policy=policy,
-            kernel=recipe.get("kernel"),
         )
     else:
         raise ValueError(f"unknown cache kind {kind!r}")
@@ -467,7 +463,6 @@ def attach_adaptation(spec, context, engine, metrics=None):
             policy=resolve_policy(spec.cache.policy),
             value_bytes=context.dataset.value_bytes,
             domain=context.dataset.domain,
-            kernel=None if spec.cache.kernel == "auto" else spec.cache.kernel,
         ),
         engine=engine,
         trigger=trigger,

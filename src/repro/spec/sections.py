@@ -58,17 +58,14 @@ class IndexSection:
 class CacheSection:
     """Caching method configuration (paper Section 5 parameters).
 
-    ``kernel`` selects the bound kernel (``repro.core.kernels``):
-    ``auto`` (default, honors ``REPRO_KERNEL``), ``decode``, ``numpy``
-    or ``native``.  All kernels are bit-identical; this is a speed knob
-    and never changes answers.
+    The bound kernel is not configured here: ``repro.core.kernels``
+    picks it from the machine, and every kernel gives the same bits.
     """
 
     method: str = "HC-O"
     tau: int = 8
     cache_bytes: int = 1 << 20
     policy: str = "hff"
-    kernel: str = "auto"
 
 
 @dataclass(frozen=True)

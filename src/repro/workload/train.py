@@ -187,8 +187,6 @@ class TrainSpec:
             ``WorkloadContext`` passes its memoized builder here, which
             both avoids rebuilding histograms across methods and keeps
             the offline path's exact encoder objects.
-        kernel: bound-kernel name for the trained cache
-            (``repro.core.kernels``; ``None`` = ``REPRO_KERNEL``/auto).
     """
 
     points: np.ndarray
@@ -203,7 +201,6 @@ class TrainSpec:
     domain: ValueDomain | None = None
     derivation: WorkloadDerivation | None = None
     encoder_factory: object = None
-    kernel: str | None = None
 
     def __post_init__(self) -> None:
         if self.k <= 0:
@@ -322,7 +319,6 @@ def train_cache_plan(model, spec: TrainSpec) -> CachePlan:
         "capacity_bytes": spec.cache_bytes,
         "policy": spec.policy.value,
         "encoder": encoder,
-        "kernel": spec.kernel,
     }
     if spec.policy is CachePolicy.HFF:
         recipe["populate_gids"] = hff_order(deriv.frequencies)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import kernels
 from repro.core.domain import ValueDomain
 from repro.data.datasets import Dataset, load_dataset
 from repro.data.workload import generate_query_log
@@ -124,3 +125,25 @@ def assert_valid_knn(points: np.ndarray, query: np.ndarray, k: int, ids) -> None
     assert len(set(ids)) == len(ids), "duplicate result ids"
     truth = brute_force_knn_set(points, query, k)
     assert set(ids) <= truth, f"non-kNN ids returned: {set(ids) - truth}"
+
+
+@pytest.fixture
+def force_kernel(monkeypatch):
+    """``force_kernel(name)`` pins the bound kernel every cache picks.
+
+    The product has no kernel option (``repro.core.kernels.kernel_for``
+    decides from the machine), so tests that compare kernels through a
+    whole pipeline replace ``auto_kernel`` for the test's duration.
+    Encoders without bucket structure still get ``decode``.
+    """
+
+    def force(name: str) -> None:
+        if name == "native":
+            ok, reason = kernels.native_available()
+            assert ok, reason
+            kern = kernels._native_kernel()
+        else:
+            kern = {"decode": kernels._DECODE, "numpy": kernels._TABLE}[name]
+        monkeypatch.setattr(kernels, "auto_kernel", lambda: kern)
+
+    return force

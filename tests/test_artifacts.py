@@ -154,6 +154,25 @@ class TestFormatVersion:
         assert exc_info.value.found == SNAPSHOT_FORMAT_VERSION + 1
         assert exc_info.value.expected == SNAPSHOT_FORMAT_VERSION
 
+    def test_version_one_snapshot_naming_a_kernel_rejected(
+        self, tmp_path, micro_dataset
+    ):
+        """A v1 snapshot carries ``cache.kernel``; it fails on its version,
+        before the strict spec parser sees the retired key."""
+        spec = micro_spec("linear", "HC-O")
+        pipeline = build_pipeline(spec, dataset=micro_dataset)
+        save_snapshot(tmp_path / "snap", pipeline)
+        manifest = read_manifest(tmp_path / "snap")
+        manifest["format_version"] = 1
+        manifest["spec"]["cache"]["kernel"] = "numpy"
+        manifest["cache"]["meta"]["kernel"] = "numpy"
+        write_manifest(tmp_path / "snap", manifest)
+        for load in (load_snapshot, verify_snapshot):
+            with pytest.raises(FormatVersionError) as exc_info:
+                load(tmp_path / "snap")
+            assert exc_info.value.found == 1
+            assert exc_info.value.expected == SNAPSHOT_FORMAT_VERSION == 2
+
 
 # ----------------------------------------------------------------------
 # Round-trip bit-identity (the acceptance grid)

@@ -20,7 +20,6 @@ POINT_INDEXES = (
     "c2lsh", "e2lsh", "multiprobe", "sklsh", "vafile", "vaplus", "linear",
 )
 ALL_INDEXES = POINT_INDEXES + ("idistance", "vptree", "mtree")
-KERNELS = ("auto", "decode", "numpy", "native")
 
 # Each entry: option -> (choices, default, nargs, value type name).
 FLAG = (None, False, 0, None)
@@ -36,13 +35,11 @@ SPEC = {
     "--k": (None, 10, None, "int"),
     "--tau": (None, 8, None, "int"),
     "--cache-kb": (None, 0, None, "int"),
-    "--kernel": (KERNELS, "auto", None, None),
 }
 COMMON = {
     **SPEC,
     **METRICS,
     "--index": (POINT_INDEXES, "c2lsh", None, None),
-    "--batched": FLAG,
     "--shards": (None, 0, None, "int"),
     "--executor": (("serial", "thread", "process"), "serial", None, None),
     "--partition": (

@@ -1,7 +1,7 @@
 """Differential harness: bound kernels are invisible to search results.
 
 The guarantee matrix, per (index family x cache configuration) cell:
-switching ``ApproximateCache``/``LeafNodeCache`` between the ``decode``,
+running ``ApproximateCache``/``LeafNodeCache`` on the ``decode``,
 ``numpy`` and (when a C compiler is present) ``native`` kernels changes
 **nothing observable**:
 
@@ -13,8 +13,10 @@ switching ``ApproximateCache``/``LeafNodeCache`` between the ``decode``,
 * **telemetry** — the cache's cumulative counters agree, because every
   hit/prune decision fell the same way.
 
-Each cell rebuilds its engine from scratch per kernel (LRU caches
-mutate during search, so state must not leak between kernel runs).
+The product picks the kernel itself (``kernel_for``), so each run
+forces one through the ``force_kernel`` fixture.  Each cell rebuilds
+its engine from scratch per kernel (LRU caches mutate during search,
+so state must not leak between kernel runs).
 Every randomized input derives from ``SEED``; assertion messages carry
 the cell and kernel names.
 """
@@ -30,6 +32,7 @@ from repro.core.builders import build_equidepth, build_equiwidth
 from repro.core.cache import ApproximateCache, CachePolicy, LeafNodeCache
 from repro.core.domain import ValueDomain
 from repro.core.encoder import GlobalHistogramEncoder, IndividualHistogramEncoder
+from repro.core import kernels
 from repro.core.kernels import native_available
 from repro.core.multidim import RTreeBucketEncoder
 from repro.core.pq import PQEncoder
@@ -81,8 +84,9 @@ class Cell:
     policy: str = "hff"  # hff | lru
 
     def expected_kernel(self, requested: str) -> str:
-        """The kernel the cache should resolve for this encoder
-        ("decode" for encoders without bucket structure)."""
+        """The kernel the cache should use for this encoder when
+        ``requested`` is forced ("decode" for encoders without bucket
+        structure)."""
         if self.encoder == "pq" and requested in ("numpy", "native"):
             return "decode"
         if (
@@ -147,25 +151,23 @@ def _build_encoder(kind: str, points: np.ndarray):
     raise ValueError(kind)
 
 
-def _build_cache(cell: Cell, data, kernel: str):
+def _build_cache(cell: Cell, data):
     points = data["points"]
     encoder = _build_encoder(cell.encoder, points)
     policy = CachePolicy.LRU if cell.policy == "lru" else CachePolicy.HFF
-    cache = ApproximateCache(
-        encoder, CACHE_BYTES, len(points), policy, kernel=kernel
-    )
+    cache = ApproximateCache(encoder, CACHE_BYTES, len(points), policy)
     if policy is CachePolicy.HFF:
         cache.populate_hff(data["frequencies"], points)
     return cache
 
 
-def _build_engine(cell: Cell, data, kernel: str):
-    """A fresh engine + cache for one kernel (no state shared)."""
+def _build_engine(cell: Cell, data):
+    """A fresh engine + cache (no state shared between kernel runs)."""
     points = data["points"]
     if cell.index_name == "idistance-leaf":
         index = IDistanceIndex(points, seed=0, value_bytes=4)
         encoder = _build_encoder(cell.encoder, points)
-        cache = LeafNodeCache(encoder, CACHE_BYTES, kernel=kernel)
+        cache = LeafNodeCache(encoder, CACHE_BYTES)
         freqs = index.leaf_access_frequencies(data["queries"], K)
         cache.populate_by_frequency(freqs, index.leaf_contents)
         return QueryEngine.for_tree(index, cache), cache
@@ -182,7 +184,7 @@ def _build_engine(cell: Cell, data, kernel: str):
         index = VAFileIndex(points, bits=5)
     else:
         raise ValueError(cell.index_name)
-    cache = _build_cache(cell, data, kernel)
+    cache = _build_cache(cell, data)
     point_file = PointFile(points, disk=SimulatedDisk(DiskConfig()))
     return QueryEngine.for_index(index, point_file, cache), cache
 
@@ -191,7 +193,7 @@ def _build_engine(cell: Cell, data, kernel: str):
 # Direct bound bit-identity (cache lookup / lookup_batch)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("cell", CELLS, ids=lambda c: c.name)
-def test_lookup_bounds_bit_identical(cell: Cell, data) -> None:
+def test_lookup_bounds_bit_identical(cell: Cell, data, force_kernel) -> None:
     if cell.index_name == "idistance-leaf":
         pytest.skip("leaf cache covered by test_leaf_lookup_bit_identical")
     rng = np.random.default_rng(SEED + 1)
@@ -199,7 +201,8 @@ def test_lookup_bounds_bit_identical(cell: Cell, data) -> None:
     queries = data["queries"]
     baseline = None
     for kernel in KERNELS:
-        cache = _build_cache(cell, data, kernel)
+        force_kernel(kernel)
+        cache = _build_cache(cell, data)
         hits_b, lb_b, ub_b = cache.lookup_batch(queries, ids)
         hits_s, lb_s, ub_s = cache.lookup(queries[0], ids)
         where = f"{cell.name} kernel={kernel} seed={SEED}"
@@ -215,11 +218,12 @@ def test_lookup_bounds_bit_identical(cell: Cell, data) -> None:
             assert np.array_equal(baseline[2], ub_b), f"{where}: ub differs"
 
 
-def test_leaf_lookup_bit_identical(data) -> None:
+def test_leaf_lookup_bit_identical(data, force_kernel) -> None:
     cell = CELLS[-1]
     baseline = None
     for kernel in KERNELS:
-        _, cache = _build_engine(cell, data, kernel)
+        force_kernel(kernel)
+        _, cache = _build_engine(cell, data)
         assert cache.num_leaves > 0
         leaf_ids = sorted(cache._entries)
         per_leaf = []
@@ -239,13 +243,15 @@ def test_leaf_lookup_bit_identical(data) -> None:
 # End-to-end: answers, stats and telemetry are kernel-invariant
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("cell", CELLS, ids=lambda c: c.name)
-def test_search_results_kernel_invariant(cell: Cell, data) -> None:
+def test_search_results_kernel_invariant(
+    cell: Cell, data, force_kernel
+) -> None:
     runs = {}
     for kernel in KERNELS:
-        engine, cache = _build_engine(cell, data, kernel)
+        force_kernel(kernel)
+        engine, cache = _build_engine(cell, data)
         assert cache.kernel_name == cell.expected_kernel(kernel), (
-            f"{cell.name}: requested {kernel}, "
-            f"cache resolved {cache.kernel_name}"
+            f"{cell.name}: forced {kernel}, cache used {cache.kernel_name}"
         )
         results = engine.search_many(data["queries"], K)
         telemetry = tuple(
@@ -278,40 +284,41 @@ def test_search_results_kernel_invariant(cell: Cell, data) -> None:
         )
 
 
-def test_set_kernel_switches_in_place(data) -> None:
-    """Re-selecting the kernel on a live cache keeps bounds identical."""
+def test_forced_kernel_switches_a_live_cache(data, force_kernel) -> None:
+    """A cache holds no kernel: it follows the machine's pick on every
+    lookup, and the bounds stay identical."""
     cell = CELLS[0]
-    cache = _build_cache(cell, data, "decode")
+    cache = _build_cache(cell, data)
     ids = np.arange(50)
     want = cache.lookup_batch(data["queries"], ids)
-    for kernel in KERNELS[1:]:
-        cache.set_kernel(kernel)
+    for kernel in KERNELS:
+        force_kernel(kernel)
         assert cache.kernel_name == kernel
         got = cache.lookup_batch(data["queries"], ids)
         assert np.array_equal(want[1], got[1]), kernel
         assert np.array_equal(want[2], got[2]), kernel
 
 
-def test_env_default_used_by_unconfigured_cache(data, monkeypatch) -> None:
-    """A cache built without an explicit kernel honors REPRO_KERNEL."""
+def test_env_does_not_select_the_kernel(data, monkeypatch) -> None:
+    """``REPRO_KERNEL`` is no longer read: the machine's pick stands."""
     monkeypatch.setenv("REPRO_KERNEL", "decode")
-    cache = _build_cache(CELLS[0], data, None)
-    assert cache.kernel_name == "decode"
-    monkeypatch.setenv("REPRO_KERNEL", "numpy")
-    cache.set_kernel(None)  # re-resolve under the new environment
-    assert cache.kernel_name == "numpy"
+    cache = _build_cache(CELLS[0], data)
+    assert cache.kernel_name == kernels.auto_kernel().name
+    assert cache.kernel_name != "decode"
 
 
-def test_pickle_round_trip_preserves_choice(data) -> None:
-    """Kernel objects never pickle; the choice string survives."""
+def test_pickle_round_trip_keeps_bounds(data) -> None:
+    """Caches pickle with the default protocol: no kernel to drop."""
     import pickle
 
-    cache = _build_cache(CELLS[0], data, "numpy")
-    cache.kernel  # force resolution so _kernel_obj exists
+    assert "__getstate__" not in vars(ApproximateCache)
+    assert "__getstate__" not in vars(LeafNodeCache)
+    cache = _build_cache(CELLS[0], data)
     clone = pickle.loads(pickle.dumps(cache))
-    assert clone.kernel_name == "numpy"
+    assert clone.kernel_name == cache.kernel_name
     ids = np.arange(40)
     want = cache.lookup_batch(data["queries"], ids)
     got = clone.lookup_batch(data["queries"], ids)
+    assert np.array_equal(want[0], got[0])
     assert np.array_equal(want[1], got[1])
     assert np.array_equal(want[2], got[2])

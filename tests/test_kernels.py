@@ -44,7 +44,8 @@ from repro.core.encoder import (
 from repro.core import kernels as kernels_mod
 from repro.core.histogram import Histogram
 from repro.core.kernels import (
-    KERNEL_ENV,
+    _DECODE,
+    _TABLE,
     DecodeKernel,
     KernelUnavailableError,
     NativeKernel,
@@ -52,8 +53,8 @@ from repro.core.kernels import (
     auto_kernel,
     code_bounds,
     effective_kernel,
+    kernel_for,
     native_available,
-    resolve_kernel,
 )
 from repro.core.multidim import RTreeBucketEncoder
 from repro.core.pq import PQEncoder
@@ -180,8 +181,8 @@ class TestKernelEquivalence:
         enc, points = _random_encoder(rng, kind)
         codes = enc.encode(points)
         queries = rng.uniform(-5, 45, size=(6, points.shape[1]))
-        lb_d, ub_d = code_bounds(queries, codes, enc, kernel="decode")
-        lb_n, ub_n = code_bounds(queries, codes, enc, kernel="numpy")
+        lb_d, ub_d = _DECODE.bounds(queries, codes, enc)
+        lb_n, ub_n = effective_kernel(_TABLE, enc).bounds(queries, codes, enc)
         assert np.array_equal(lb_d, lb_n), kind
         assert np.array_equal(ub_d, ub_n), kind
 
@@ -204,11 +205,11 @@ class TestKernelEquivalence:
 
     @staticmethod
     def _kernels(enc):
-        for name in ("decode", "numpy", "native"):
-            if name == "native" and not NATIVE_OK:
-                continue
-            kern = effective_kernel(resolve_kernel(name), enc)
-            yield kern
+        kernels = [_DECODE, _TABLE]
+        if NATIVE_OK:
+            kernels.append(kernels_mod._native_kernel())
+        for kern in kernels:
+            yield effective_kernel(kern, enc)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), n_buckets=st.integers(2, 20))
@@ -232,25 +233,27 @@ class TestKernelEquivalence:
         enc, points = _random_encoder(rng, "global")
         codes = enc.encode(points)
         queries = rng.uniform(0, 40, size=(5, points.shape[1]))
-        for kernel in ("decode", "numpy"):
-            lb, ub = code_bounds(queries, codes, enc, kernel=kernel)
+        for kernel in (_DECODE, _TABLE):
+            lb, ub = kernel.bounds(queries, codes, enc)
             for i, q in enumerate(queries):
                 dist = exact_distances(q, points)
-                assert (lb[i] <= dist + 1e-9).all(), kernel
-                assert (ub[i] >= dist - 1e-9).all(), kernel
+                assert (lb[i] <= dist + 1e-9).all(), kernel.name
+                assert (ub[i] >= dist - 1e-9).all(), kernel.name
 
     def test_empty_candidate_set(self):
         rng = np.random.default_rng(SEED)
         enc, points = _random_encoder(rng, "global")
         queries = rng.uniform(0, 40, size=(2, points.shape[1]))
         empty = np.empty((0, enc.n_fields), dtype=np.int64)
-        for name in ("decode", "numpy"):
-            lb, ub = code_bounds(queries, empty, enc, kernel=name)
+        for kernel in (_DECODE, _TABLE):
+            lb, ub = kernel.bounds(queries, empty, enc)
             assert lb.shape == ub.shape == (2, 0)
+        lb, ub = code_bounds(queries, empty, enc)
+        assert lb.shape == ub.shape == (2, 0)
 
 
 # ----------------------------------------------------------------------
-# Kernel resolution semantics
+# Kernel selection: the machine picks, nothing else does
 # ----------------------------------------------------------------------
 def _without_native(monkeypatch):
     monkeypatch.setattr(
@@ -258,66 +261,47 @@ def _without_native(monkeypatch):
     )
 
 
+def _global_encoder():
+    enc, _ = _random_encoder(np.random.default_rng(SEED), "global")
+    return enc
+
+
 class TestResolution:
     @needs_native
-    def test_auto_is_native_when_available(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
-        assert resolve_kernel(None).name == "native"
-        assert resolve_kernel("auto").name == "native"
+    def test_auto_is_native_when_available(self):
+        assert auto_kernel().name == "native"
+        assert kernel_for(_global_encoder()).name == "native"
 
     def test_auto_is_numpy_without_native(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
         _without_native(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert resolve_kernel(None).name == "numpy"
-            assert resolve_kernel("auto").name == "numpy"
-
-    def test_env_native_unavailable_warns_and_uses_auto(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "native")
-        _without_native(monkeypatch)
-        with pytest.warns(RuntimeWarning, match="stub"):
-            assert resolve_kernel(None).name == "numpy"
-
-    def test_env_var_selects(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "decode")
-        assert resolve_kernel(None).name == "decode"
-        # An explicit argument wins over the environment.
-        assert resolve_kernel("numpy").name == "numpy"
-
-    def test_explicit_unknown_raises(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            resolve_kernel("simd")
-
-    def test_env_unknown_degrades_with_warning(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "simd")
-        with pytest.warns(RuntimeWarning, match="simd"):
-            assert resolve_kernel(None).name == auto_kernel().name
+            assert auto_kernel().name == "numpy"
+            assert kernel_for(_global_encoder()).name == "numpy"
 
     def test_unsupported_encoder_falls_back_to_decode(self):
         rng = np.random.default_rng(SEED)
         enc, _ = _random_encoder(rng, "pq")
-        assert effective_kernel(resolve_kernel("numpy"), enc).name == "decode"
+        assert effective_kernel(_TABLE, enc).name == "decode"
+        assert kernel_for(enc).name == "decode"
         exact = ExactEncoder(4, 16)
-        assert effective_kernel(resolve_kernel("numpy"), exact).name == "decode"
+        assert effective_kernel(_TABLE, exact).name == "decode"
+        assert kernel_for(exact).name == "decode"
 
     @needs_native
     def test_native_resolves(self):
-        kern = resolve_kernel("native")
+        kern = kernel_for(_global_encoder())
         assert isinstance(kern, NativeKernel)
-        assert kern.name == "native"
+        assert kern is kernels_mod._native_kernel()
 
-    def test_native_explicit_raises_when_unavailable(self):
-        if NATIVE_OK:
-            pytest.skip("native kernel is available here")
-        with pytest.raises(KernelUnavailableError):
-            resolve_kernel("native")
-
-    def test_native_explicit_raises_when_stubbed_unavailable(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "numpy")
-        _without_native(monkeypatch)
-        with pytest.raises(KernelUnavailableError, match="stub"):
-            resolve_kernel("native")
+    def test_env_var_is_ignored(self, monkeypatch):
+        """``REPRO_KERNEL`` names no kernel any more."""
+        want = kernel_for(_global_encoder()).name
+        for value in ("decode", "numpy", "simd"):
+            monkeypatch.setenv("REPRO_KERNEL", value)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert kernel_for(_global_encoder()).name == want
 
 
 class TestNativeCompile:
@@ -369,7 +353,7 @@ class TestNativeKernel:
         """d < 8, 8 <= d <= 128 and d > 128 hit distinct pairwise paths."""
         rng = np.random.default_rng(SEED + 3)
         table = TableGatherKernel()
-        native = resolve_kernel("native")
+        native = kernels_mod._native_kernel()
         for dim, bits in ((3, 7), (24, 5), (150, 8), (301, 6)):
             n_buckets = 2**bits if bits <= 4 else 19
             edges = np.sort(rng.uniform(-50, 50, size=2 * n_buckets))
@@ -386,7 +370,7 @@ class TestNativeKernel:
             assert np.array_equal(want[1], got[1]), (dim, bits)
 
     def test_out_of_range_code_raises(self):
-        native = resolve_kernel("native")
+        native = kernels_mod._native_kernel()
         hist = Histogram(lowers=np.array([0.0, 2.0]), uppers=np.array([1.0, 3.0]))
         enc = GlobalHistogramEncoder(hist, 4)
         store = BitPackedMatrix(1, 4, 3)
@@ -552,14 +536,18 @@ class TestMeasureM1:
             total += weight * outcome.c_refine
         return float(total)
 
-    @pytest.mark.parametrize("kernel", ["decode", "numpy"])
-    def test_bit_identical_to_old_loop(self, context, kernel):
+    @pytest.mark.parametrize(
+        "kernel", ["decode", "numpy", pytest.param("native", marks=needs_native)]
+    )
+    def test_bit_identical_to_old_loop(self, context, kernel, force_kernel):
         from repro.eval.runner import measure_m1
 
         dom = ValueDomain.from_points(context.dataset.points)
         enc = GlobalHistogramEncoder(build_equidepth(dom, 16), 6)
         want = self._old_loop(enc, context, k=4)
-        got = measure_m1(enc, context, k=4, kernel=kernel)
+        force_kernel(kernel)
+        assert kernel_for(enc).name == kernel
+        got = measure_m1(enc, context, k=4)
         assert got == want  # exact float equality, not approx
 
 

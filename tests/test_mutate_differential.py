@@ -18,10 +18,11 @@ Three extra legs extend the chain through the outer layers:
   tombstone mask (compared against brute force, which needs no cache-
   content equivalence).
 
-Each cell rebuilds from scratch per kernel; all randomness derives from
-``SEED``.  LRU cells are intentionally absent: their warm state *is*
-their content, so bit-identity to a cold rebuild is not a property they
-promise (the unit suite covers their masking separately).
+Each cell forces its kernel (``force_kernel``) and rebuilds from
+scratch; all randomness derives from ``SEED``.  LRU cells are
+intentionally absent: their warm state *is* their content, so
+bit-identity to a cold rebuild is not a property they promise (the unit
+suite covers their masking separately).
 """
 
 from __future__ import annotations
@@ -66,12 +67,10 @@ CELLS = (
 PREDICATE = parse_predicate("label<=6")
 
 
-def build_mutable(dataset, index_name, method, kernel) -> MutablePipeline:
+def build_mutable(dataset, index_name, method) -> MutablePipeline:
     spec = PipelineSpec(
         index=IndexSection(name=index_name),
-        cache=CacheSection(
-            method=method, tau=TAU, cache_bytes=CACHE_BYTES, kernel=kernel
-        ),
+        cache=CacheSection(method=method, tau=TAU, cache_bytes=CACHE_BYTES),
         k=K,
         seed=SEED,
     )
@@ -133,10 +132,11 @@ def assert_exact_topk(pipeline, query, where):
     "index_name,method", CELLS, ids=[f"{i}~{m}" for i, m in CELLS]
 )
 def test_churn_bit_identical_to_rebuild(
-    micro_dataset, index_name, method, kernel
+    micro_dataset, index_name, method, kernel, force_kernel
 ):
+    force_kernel(kernel)
     rng = np.random.default_rng(SEED)
-    pipeline = build_mutable(micro_dataset, index_name, method, kernel)
+    pipeline = build_mutable(micro_dataset, index_name, method)
     queries = micro_dataset.query_log.test
     cell = f"{index_name}~{method}~{kernel}"
 
@@ -184,11 +184,12 @@ def test_churn_bit_identical_to_rebuild(
         assert (labels[result.ids] <= 6).all()
 
 
-@pytest.mark.parametrize("kernel", ("decode", "numpy"))
-def test_churn_snapshot_roundtrip(micro_dataset, tmp_path, kernel):
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_churn_snapshot_roundtrip(micro_dataset, tmp_path, kernel, force_kernel):
     """save_churn_state -> restore_pipeline reproduces answer bits."""
+    force_kernel(kernel)
     rng = np.random.default_rng(SEED + 1)
-    pipeline = build_mutable(micro_dataset, "vafile", "HC-O", kernel)
+    pipeline = build_mutable(micro_dataset, "vafile", "HC-O")
     rows, attrs = sample_inserts(pipeline, rng, 6)
     pipeline.insert(rows, attributes=attrs)
     pipeline.delete(rng.choice(pipeline.data.live_ids(), 5, replace=False))
@@ -198,7 +199,7 @@ def test_churn_snapshot_roundtrip(micro_dataset, tmp_path, kernel):
     state = load_churn_state(path)
     restored = restore_pipeline(
         state,
-        lambda base: build_mutable(micro_dataset, "vafile", "HC-O", kernel),
+        lambda base: build_mutable(micro_dataset, "vafile", "HC-O"),
     )
     queries = micro_dataset.query_log.test
     for predicate in (None, PREDICATE):
@@ -217,7 +218,7 @@ def test_churn_sharded_matches_unsharded(micro_dataset):
     n = len(points)
     rng = np.random.default_rng(SEED + 2)
 
-    flat = build_mutable(micro_dataset, "linear", "NO-CACHE", "numpy")
+    flat = build_mutable(micro_dataset, "linear", "NO-CACHE")
     rows, attrs = sample_inserts(flat, rng, 9)
     victims = rng.choice(n, 7, replace=False)
 
@@ -250,7 +251,7 @@ def test_twin_is_true_rebuild_not_identity(micro_dataset):
     A twin that secretly shared the mutated pipeline's index or cache
     would make every fence assertion vacuous.
     """
-    pipeline = build_mutable(micro_dataset, "linear", "HC-O", "numpy")
+    pipeline = build_mutable(micro_dataset, "linear", "HC-O")
     pipeline.revalidate()
     twin = reference_twin(pipeline)
     assert twin.engine is not pipeline.engine

@@ -98,13 +98,3 @@ class TestExperimentPlumbing:
             keep_per_query=True,
         ).run()
         assert len(result.per_query) == result.num_queries
-
-    def test_batched_matches_per_query_metrics(self, dataset):
-        kwargs = dict(method="HC-O", tau=4, cache_bytes=10_000)
-        seq = Experiment(dataset, **kwargs, keep_per_query=True).run()
-        bat = Experiment(
-            dataset, **kwargs, keep_per_query=True, batched=True
-        ).run()
-        assert bat.per_query == seq.per_query
-        assert bat.avg_refine_io == seq.avg_refine_io
-        assert bat.hit_ratio == seq.hit_ratio

@@ -32,6 +32,7 @@ from repro.core.cache import (
 )
 from repro.core.domain import ValueDomain
 from repro.core.encoder import GlobalHistogramEncoder
+from repro.core.kernels import native_available
 from repro.engine.engine import QueryEngine
 from repro.index.idistance import IDistanceIndex
 from repro.index.linear_scan import LinearScanIndex
@@ -48,7 +49,7 @@ K = 5
 N_QUERIES = 10
 SCHEDULE_SEEDS = (1, 2, 3)
 CACHE_BYTES = 1 << 11
-KERNELS = ("decode", "numpy")
+KERNELS = ("decode", "numpy") + (("native",) if native_available()[0] else ())
 C2LSH_PARAMS = {"beta": 1.0, "n_hashes": 16}
 
 
@@ -99,12 +100,12 @@ def data():
     }
 
 
-def make_engine(cell: Cell, data, kernel: str | None) -> QueryEngine:
+def make_engine(cell: Cell, data) -> QueryEngine:
     """A fresh engine for this cell; twin builds are byte-identical."""
     points = data["points"]
     if cell.index_name == "idistance":
         index = IDistanceIndex(points, seed=0, value_bytes=4)
-        cache = LeafNodeCache(data["encoder"], CACHE_BYTES, kernel=kernel)
+        cache = LeafNodeCache(data["encoder"], CACHE_BYTES)
         freqs = index.leaf_access_frequencies(data["queries"], K)
         cache.populate_by_frequency(freqs, index.leaf_contents)
         return QueryEngine.for_tree(index, cache)
@@ -123,8 +124,7 @@ def make_engine(cell: Cell, data, kernel: str | None) -> QueryEngine:
         raise ValueError(cell.index_name)
     if cell.cache == "hc-hff":
         cache = ApproximateCache(
-            data["encoder"], CACHE_BYTES, N_POINTS, CachePolicy.HFF,
-            kernel=kernel,
+            data["encoder"], CACHE_BYTES, N_POINTS, CachePolicy.HFF
         )
         cache.populate_hff(data["frequencies"], points)
     elif cell.cache == "exact-hff":
@@ -190,15 +190,19 @@ def serve_schedule(engine: QueryEngine, config: ServeConfig, events) -> list:
     CASES,
     ids=[f"{c.name}-{k or 'exact'}" for c, k in CASES],
 )
-def test_serve_matches_per_query_search(cell: Cell, kernel, data) -> None:
+def test_serve_matches_per_query_search(
+    cell: Cell, kernel, data, force_kernel
+) -> None:
     serve_schedule.queries = data["queries"]
+    if kernel is not None:
+        force_kernel(kernel)
     for schedule_seed in SCHEDULE_SEEDS:
         rng = np.random.default_rng(schedule_seed)
         config, events = random_schedule(rng)
-        served = serve_schedule(make_engine(cell, data, kernel), config, events)
+        served = serve_schedule(make_engine(cell, data), config, events)
         # Twin engine, same build; replayed per-query in service order so
         # even order-sensitive (LRU) cache state evolves identically.
-        twin = make_engine(cell, data, kernel)
+        twin = make_engine(cell, data)
         for idx, result in served:
             base = twin.search(data["queries"][idx], K)
             where = (
@@ -230,18 +234,19 @@ def test_interleavings_actually_vary() -> None:
     assert len(shapes) == len(SCHEDULE_SEEDS)
 
 
-def test_kernels_agree_through_the_server(data) -> None:
-    """Both bound kernels serve byte-identical answers (speed knob only)."""
+def test_kernels_agree_through_the_server(data, force_kernel) -> None:
+    """Every bound kernel serves byte-identical answers."""
     serve_schedule.queries = data["queries"]
     cell = CELLS[0]
     config, events = random_schedule(np.random.default_rng(SCHEDULE_SEEDS[0]))
-    by_kernel = {
-        kernel: serve_schedule(make_engine(cell, data, kernel), config, events)
-        for kernel in KERNELS
-    }
-    first, second = (by_kernel[k] for k in KERNELS)
-    for (idx_a, a), (idx_b, b) in zip(first, second):
-        assert idx_a == idx_b
-        assert np.array_equal(a.ids, b.ids)
-        assert np.array_equal(a.distances, b.distances)
-        assert np.array_equal(a.exact_mask, b.exact_mask)
+    by_kernel = {}
+    for kernel in KERNELS:
+        force_kernel(kernel)
+        by_kernel[kernel] = serve_schedule(make_engine(cell, data), config, events)
+    first = by_kernel[KERNELS[0]]
+    for kernel in KERNELS[1:]:
+        for (idx_a, a), (idx_b, b) in zip(first, by_kernel[kernel]):
+            assert idx_a == idx_b, kernel
+            assert np.array_equal(a.ids, b.ids), kernel
+            assert np.array_equal(a.distances, b.distances), kernel
+            assert np.array_equal(a.exact_mask, b.exact_mask), kernel

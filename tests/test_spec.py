@@ -91,6 +91,11 @@ class TestStrictness:
         with pytest.raises(ValueError, match="unknown key.*cache"):
             PipelineSpec.from_dict({"cache": {"method": "HC-O", "size": 1}})
 
+    def test_cache_kernel_key_rejected(self):
+        """The bound kernel is no spec field: the machine picks it."""
+        with pytest.raises(ValueError, match="kernel"):
+            PipelineSpec.from_dict({"cache": {"kernel": "numpy"}})
+
     def test_section_must_be_table(self):
         with pytest.raises(ValueError, match="table/object"):
             PipelineSpec.from_dict({"index": "c2lsh"})
