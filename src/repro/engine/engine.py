@@ -13,7 +13,11 @@ it.  The native kernel also releases the GIL while it runs, so a
 replica pool's threads overlap their probes.  Within a query, Phase 3
 fetches in rounds (see :mod:`repro.core.multistep`): each round reads a
 prefix of the lb-sorted candidates that the stopping rule is certain to
-fetch, in one call, instead of one candidate per call.
+fetch, in one call, instead of one candidate per call.  A deadline or a
+resilience policy guards that call
+(:func:`~repro.faults.policy.protected_fetcher`): the deadline is checked
+between rounds and the retry budget counts per page read, so a round is
+never split into per-point reads.
 
 Both entry points validate their input first: a query of the wrong
 dimension, one holding NaN/inf, or a ``k`` that is not a positive
@@ -33,8 +37,8 @@ from repro.engine.sources import TreeLeafSource, as_source
 from repro.engine.stats import COMPLETE, QueryStats, SearchResult
 from repro.faults.deadline import Deadline
 from repro.faults.degrade import degraded_answer
-from repro.faults.errors import DEGRADABLE_ERRORS, fault_reason
-from repro.faults.policy import ResiliencePolicy
+from repro.faults.errors import DEGRADABLE_ERRORS, DeadlineExceeded, fault_reason
+from repro.faults.policy import ResiliencePolicy, protected_fetcher
 from repro.storage.pointfile import PointFile
 
 
@@ -130,7 +134,7 @@ class QueryEngine:
                 raise ValueError("candidate-set sources need a point file")
             self.generate = GeneratePhase(self.source)
             self.reduce = ReducePhase(
-                self.cache, point_file, eager_miss_fetch=eager_miss_fetch
+                self.cache, eager_miss_fetch=eager_miss_fetch
             )
             self.refine = RefinePhase(self.cache, point_file)
 
@@ -270,6 +274,12 @@ class QueryEngine:
                 "use search_many for a batch"
             )
         check_queries(query[None, :], self.dim)
+        return self._search_one(query, k, ctx, deadline, predicate_mask)
+
+    def _search_one(
+        self, query, k, ctx, deadline, predicate_mask, degrade_expired=False
+    ) -> SearchResult:
+        """``search`` on a validated query; see ``_reduce_and_refine``."""
         ctx = ctx or self.make_context()
         ctx.query = query
         if self.source.is_tree:
@@ -288,7 +298,9 @@ class QueryEngine:
             )
         if candidate_ids.size == 0:
             return self._empty_result(ctx)
-        return self._reduce_and_refine(query, candidate_ids, k, ctx, deadline)
+        return self._reduce_and_refine(
+            query, candidate_ids, k, ctx, deadline, degrade_expired
+        )
 
     @property
     def dim(self) -> int | None:
@@ -318,78 +330,49 @@ class QueryEngine:
                 degrade once it expires).  A sequence of
                 ``Deadline | None``, one per query, carries independent
                 per-request budgets — the serving layer's SLA tiers,
-                whose clocks started at admission.  Without either, the
-                resilience policy's per-query default applies to each
-                query independently.
+                whose clocks started at admission.  In that form a
+                request whose own budget expires is answered from cached
+                bounds (reason ``"deadline"``) even without a degrading
+                policy, so one late request never fails its batchmates.
+                Without either, the resilience policy's per-query
+                default applies to each query independently.
         """
         k = check_k(k)
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         if len(queries) == 0:
             return []
         check_queries(queries, self.dim)
-        if deadline is None or isinstance(deadline, Deadline):
-            deadlines = [deadline] * len(queries)
-        else:
-            deadlines = list(deadline)
-            if len(deadlines) != len(queries):
-                raise ValueError(
-                    f"got {len(deadlines)} deadlines for {len(queries)} queries"
-                )
+        per_request = deadline is not None and not isinstance(deadline, Deadline)
+        deadlines = list(deadline) if per_request else [deadline] * len(queries)
+        if len(deadlines) != len(queries):
+            raise ValueError(
+                f"got {len(deadlines)} deadlines for {len(queries)} queries"
+            )
         return [
-            self.search(query, k, deadline=dl, predicate_mask=predicate_mask)
+            self._search_one(
+                query, k, None, dl, predicate_mask, degrade_expired=per_request
+            )
             for query, dl in zip(queries, deadlines)
         ]
 
     # ------------------------------------------------------------------
-    def _protected_fetcher(self, deadline: Deadline | None):
-        """The point-fetch callable the refine/eager paths must use.
-
-        Without resilience it is the raw ``PointFile.fetch``, which
-        charges a whole refine round in one vectorised call.  With it,
-        the round's ids are still fetched one point at a time, each
-        under breaker gating + bounded retries, with the deadline
-        checked between points — a stalled device cannot overrun the
-        budget by more than one read.  Per-point granularity keeps
-        accounting exact under retries: a failed point's
-        ``point_fetches`` increment happens only on the successful
-        attempt, and page charges are deduplicated by the query tracker.
-        """
-        runtime = self.resilience
-        if runtime is None and deadline is None:
-            return self.point_file.fetch
-        point_file = self.point_file
-
-        def fetch(point_ids, tracker=None):
-            ids = np.atleast_1d(np.asarray(point_ids, dtype=np.int64))
-            rows = []
-            for pid in ids.tolist():
-                if deadline is not None:
-                    deadline.check("refine")
-                one = np.asarray([pid])
-                if runtime is None:
-                    rows.append(point_file.fetch(one, tracker))
-                else:
-                    rows.append(
-                        runtime.protected_call(
-                            lambda one=one: point_file.fetch(one, tracker),
-                            deadline,
-                        )
-                    )
-            if rows:
-                return np.concatenate(rows, axis=0)
-            return point_file.points[:0]
-
-        return fetch
-
     def _reduce_and_refine(
         self,
         query: np.ndarray,
         candidate_ids: np.ndarray,
         k: int,
         ctx: ExecutionContext,
-        deadline: Deadline | None = None,
+        deadline: Deadline | None,
+        degrade_expired: bool,
     ) -> SearchResult:
-        fetcher = self._protected_fetcher(deadline)
+        """Phases 2 and 3 under the query's deadline and policy.
+
+        A degradable fault raises unless the policy degrades; with
+        ``degrade_expired`` an expired deadline degrades regardless.
+        """
+        fetcher = protected_fetcher(
+            self.point_file.fetch, self.resilience, deadline
+        )
         reduction = None
         try:
             with ctx.phase("reduce"):
@@ -406,13 +389,16 @@ class QueryEngine:
                 )
             query_outcome = COMPLETE
         except DEGRADABLE_ERRORS as exc:
-            if self.resilience is None or not self.resilience.policy.degraded:
+            runtime = self.resilience
+            expired = degrade_expired and isinstance(exc, DeadlineExceeded)
+            if not expired and (runtime is None or not runtime.policy.degraded):
                 raise
             # Answer from cached bounds alone.  If the fault struck
             # before reduction finished (eager miss-fetch failure) there
             # is nothing certified to report and the answer is empty.
             reason = fault_reason(exc)
-            self.resilience.note_degraded(reason)
+            if runtime is not None:
+                runtime.note_degraded(reason)
             ids, distances, exact_mask, query_outcome = degraded_answer(
                 reduction, k, reason
             )

@@ -52,16 +52,8 @@ class ReducePhase:
     are fetched eventually either way).
     """
 
-    def __init__(
-        self,
-        cache: PointCache,
-        point_file: PointFile | None,
-        eager_miss_fetch: bool = False,
-    ) -> None:
-        if eager_miss_fetch and point_file is None:
-            raise ValueError("eager_miss_fetch needs a point file")
+    def __init__(self, cache: PointCache, eager_miss_fetch: bool = False) -> None:
         self.cache = cache
-        self.point_file = point_file
         self.eager_miss_fetch = eager_miss_fetch
 
     def run(
@@ -70,24 +62,24 @@ class ReducePhase:
         candidate_ids: np.ndarray,
         k: int,
         ctx: ExecutionContext,
-        fetcher=None,
+        fetcher,
     ) -> ReductionOutcome:
         """Reduce one query's candidates.
 
         The cache bounds exactly these candidates for this query.
 
         Args:
-            fetcher: override for the eager miss-fetch I/O call (the
-                engine passes its resilience-protected fetcher here).
+            fetcher: the refine I/O call, ``fetch(ids, tracker)``, used
+                by the eager miss fetch (the engine passes
+                :func:`~repro.faults.policy.protected_fetcher`'s result).
         """
         hits, lb, ub = self.cache.lookup(query, candidate_ids)
         if self.eager_miss_fetch and not hits.all():
             # Eager fetches are charged to the refinement tracker: the
             # same pages are read by Phase 3 anyway, and sharing one
             # tracker guarantees no page is ever double-charged.
-            fetch = fetcher if fetcher is not None else self.point_file.fetch
             miss_ids = candidate_ids[~hits]
-            points = fetch(miss_ids, ctx.refine_tracker)
+            points = fetcher(miss_ids, ctx.refine_tracker)
             dist = exact_distances(query, points)
             lb = lb.copy()
             ub = ub.copy()
@@ -110,7 +102,7 @@ class RefinePhase:
         outcome: ReductionOutcome,
         k: int,
         ctx: ExecutionContext,
-        fetcher=None,
+        fetcher,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """Resolve the final top-k; returns (ids, distances, exact, fetched).
 
@@ -118,8 +110,8 @@ class RefinePhase:
         refinement is skipped entirely (``|R| >= k``).
 
         Args:
-            fetcher: override for the point-fetch I/O call (the engine
-                passes its resilience-protected fetcher here).
+            fetcher: the refine I/O call, ``fetch(ids, tracker)``, made
+                once per multi-step round.
         """
         if len(outcome.confirmed_ids) >= k:
             order = np.lexsort((outcome.confirmed_ids, outcome.confirmed_ub))[:k]
@@ -134,7 +126,7 @@ class RefinePhase:
             outcome.remaining_ids,
             outcome.remaining_lb,
             k,
-            fetcher=fetcher if fetcher is not None else self.point_file.fetch,
+            fetcher=fetcher,
             confirmed_ids=outcome.confirmed_ids,
             confirmed_ubs=outcome.confirmed_ub,
             tracker=ctx.refine_tracker,

@@ -11,9 +11,10 @@ class Deadline:
     """A wall-clock budget checked at cheap, well-defined points.
 
     The engine checks the deadline at phase boundaries (generate ->
-    reduce -> refine) and inside the protected fetcher between point
-    reads; it never interrupts a read mid-flight.  A ``None`` budget is
-    the common case and every check short-circuits.
+    reduce -> refine), before each refine round's fetch and before each
+    retry sleep; it never interrupts a round mid-flight, so an expiring
+    budget can overrun by at most one round's reads.  A ``None`` budget
+    is the common case and every check short-circuits.
 
     Args:
         budget_s: seconds allowed, or None for unlimited.

@@ -37,8 +37,9 @@ class CorruptPageError(IOError):
 class DeadlineExceeded(RuntimeError):
     """A per-query or per-batch time budget ran out.
 
-    Raised at phase boundaries (and inside the protected fetcher) so the
-    engine can fall back to a cache-only degraded answer.
+    Raised at phase boundaries and between refine rounds (by the
+    protected fetcher) so the engine can fall back to a cache-only
+    degraded answer.
     """
 
 

@@ -104,7 +104,10 @@ class ResilienceRuntime:
         self.registry.histogram(
             "engine_io_retry_attempts",
             bounds=RETRY_HISTOGRAM_BOUNDS,
-            help="Attempts consumed per protected I/O call (0 = first try).",
+            help=(
+                "Retries per protected I/O call (0 = first try); a "
+                "refine round is one call."
+            ),
         ).observe(float(retries))
 
     # -- protected I/O -----------------------------------------------------
@@ -114,8 +117,10 @@ class ResilienceRuntime:
             budget_s = self.policy.deadline_s
         return Deadline(budget_s)
 
-    def protected_call(self, fn, deadline: Deadline | None = None):
+    def protected_call(self, fn, deadline: Deadline | None = None, progress=None):
         """Run one I/O operation under breaker + retry + deadline.
+
+        ``progress`` goes to :func:`run_with_retries` (per-page budget).
 
         Raises:
             CircuitOpenError: breaker refused the call.
@@ -134,6 +139,7 @@ class ResilienceRuntime:
                 state=self.retry_state,
                 deadline=deadline,
                 sleep=self._sleep,
+                progress=progress,
             )
         except BaseException as exc:
             if self.breaker is not None and is_breaker_fault(exc):
@@ -144,3 +150,30 @@ class ResilienceRuntime:
             self.breaker.record_success()
         self._observe_retries(before)
         return result
+
+
+def protected_fetcher(
+    fetch, runtime: ResilienceRuntime | None, deadline: Deadline | None = None
+):
+    """The refine I/O callable: ``fetch`` itself, or guarded per round.
+
+    With a runtime or a deadline, each call (one multi-step round)
+    checks the deadline and makes one ``fetch`` call under the breaker
+    and bounded retries.  The retry budget restarts whenever a failed
+    attempt charged new pages (the tracker's ``page_reads``), so a round
+    is masked exactly as reading its points one call each would be.
+    """
+    if runtime is None and deadline is None:
+        return fetch
+
+    def guarded(point_ids, tracker=None):
+        if runtime is None:
+            deadline.check("refine")
+            return fetch(point_ids, tracker)
+        return runtime.protected_call(
+            lambda: fetch(point_ids, tracker),
+            deadline,
+            progress=None if tracker is None else lambda: tracker.page_reads,
+        )
+
+    return guarded

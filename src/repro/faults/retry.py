@@ -15,7 +15,8 @@ class RetryPolicy:
     Attributes:
         max_retries: extra attempts after the first (0 disables retries).
             Set it >= the fault plan's ``max_consecutive`` and bounded
-            retries are guaranteed to mask every transient injection.
+            retries are guaranteed to mask every transient injection
+            (per page, given ``progress`` in :func:`run_with_retries`).
         base_delay_s: backoff before the first retry; doubles each retry.
         max_delay_s: backoff ceiling.
         jitter: fraction of the backoff added as *deterministic* jitter —
@@ -46,10 +47,6 @@ class RetryPolicy:
             delay *= 1.0 + self.jitter * frac
         return delay
 
-    def attempts(self) -> int:
-        """Total attempts allowed (first try + retries)."""
-        return 1 + self.max_retries
-
 
 class RetryState:
     """Mutable retry counters (one per engine, feeds the obs histogram)."""
@@ -75,6 +72,7 @@ def run_with_retries(
     state: RetryState | None = None,
     deadline=None,
     sleep=time.sleep,
+    progress=None,
 ):
     """Call ``fn()`` under ``policy``, retrying retryable failures.
 
@@ -83,16 +81,26 @@ def run_with_retries(
     propagates.  ``deadline`` (a :class:`~repro.faults.deadline.Deadline`)
     is checked before each retry sleep so a stalled read cannot overrun
     the query budget by the whole backoff schedule.
+
+    ``progress`` (optional) returns a count that grows as ``fn`` gets
+    work done, e.g. the query tracker's ``page_reads``.  A failure after
+    more progress than the previous one restarts the budget and the
+    backoff: ``max_retries`` bounds back-to-back failures of one page.
     """
     if state is not None:
         state.calls += 1
+    mark = progress() if progress is not None else 0
     attempt = 0
+    retried = False
     while True:
         try:
             result = fn()
         except BaseException as exc:  # noqa: BLE001 - reclassified below
             if not is_retryable(exc):
                 raise
+            if progress is not None and progress() > mark:
+                mark = progress()
+                attempt = 0
             if attempt >= policy.max_retries:
                 if state is not None:
                     state.exhausted += 1
@@ -100,9 +108,10 @@ def run_with_retries(
             if deadline is not None:
                 deadline.check()
             if state is not None:
-                if attempt == 0:
+                if not retried:
                     state.retried_calls += 1
                 state.retries += 1
+            retried = True
             delay = policy.delay_for(attempt)
             if delay > 0:
                 sleep(delay)

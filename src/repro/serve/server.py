@@ -4,8 +4,8 @@
 a :class:`~repro.shard.ShardedEngine`, or any pipeline exposing
 ``.engine``), a bounded request queue with admission control, and a
 dynamic micro-batcher that coalesces concurrently waiting requests into
-one ``search_many`` call — amortizing the per-batch cache probe and
-kernel table build the same way the offline batched path does.
+one ``search_many`` call — one engine dispatch per flush instead of one
+per request (the engine still answers each query on its own).
 
 Guarantees:
 
@@ -189,17 +189,18 @@ def run_engine_group(
 ) -> list[SearchResult]:
     """Engine call for one same-k group, degrading on expiry.
 
-    The batched call carries per-request deadlines when the engine
-    supports them (``QueryEngine``).  If the engine *raises* on expiry
-    (no degraded resilience policy), the group re-runs per-query so one
-    late request cannot fail its batchmates; the per-query rerun returns
-    the same answers by the engine's batched-equals-sequential
-    guarantee.  Shared by the single-engine ``Server`` dispatch path and
-    each pool ``Replica`` so both serve bit-identical answers.
+    A ``QueryEngine`` gets the per-request deadlines and answers a
+    request whose own budget expired from its cached bounds, so the
+    batch call never fails for one late request.  Other targets (e.g.
+    a strict ``ShardedEngine``) fail a whole batch on expiry, having
+    answered nothing; the group then runs query by query so one late
+    request cannot fail its batchmates.  Shared by the single-engine
+    ``Server`` dispatch path and each pool ``Replica`` so both serve
+    bit-identical answers.
     """
+    if per_query_deadlines:
+        return engine.search_many(queries, k, deadline=deadlines)
     try:
-        if per_query_deadlines and any(d is not None for d in deadlines):
-            return engine.search_many(queries, k, deadline=deadlines)
         return engine.search_many(queries, k)
     except DeadlineExceeded:
         results: list[SearchResult] = []
@@ -208,10 +209,7 @@ def run_engine_group(
                 results.append(_server_degraded_result(k))
                 continue
             try:
-                if per_query_deadlines:
-                    results.append(engine.search(query, k, deadline=deadline))
-                else:
-                    results.append(engine.search(query, k))
+                results.append(engine.search(query, k))
             except DeadlineExceeded:
                 results.append(_server_degraded_result(k))
         return results
@@ -507,13 +505,16 @@ class Server:
         With a replica pool, supervision events (stall budgets, restart
         backoffs, hedge delays, slow-batch completions) also bound the
         wait — a stalled replica must be detected even when no new
-        request ever arrives.
+        request ever arrives.  While no replica is free a due flush
+        could only spin, so then only a completion or an admission
+        (both notify ``_cond``) or the next supervision event wakes it.
         """
         timeout = self._time_to_flush_locked()
         if self._pool is None:
             return timeout
-        pool_timeout = self._pool.next_event_delay(self.clock.now())
-        if timeout is None:
+        now = self.clock.now()
+        pool_timeout = self._pool.next_event_delay(now)
+        if timeout is None or self._pool._next_available(now) is None:
             return pool_timeout
         if pool_timeout is None:
             return timeout

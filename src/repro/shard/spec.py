@@ -32,7 +32,7 @@ from repro.core.multistep import multistep_knn
 from repro.engine.engine import QueryEngine
 from repro.engine.stats import QueryStats
 from repro.faults.plan import FaultSpec
-from repro.faults.policy import ResiliencePolicy
+from repro.faults.policy import ResiliencePolicy, protected_fetcher
 from repro.spec.registry import (
     INDEX_REGISTRY,
     TREE_INDEX_NAMES as REGISTRY_TREE_INDEX_NAMES,
@@ -259,34 +259,6 @@ class ShardRuntime:
     def _fetch_global(self, global_ids: np.ndarray, tracker):
         return self.point_file.fetch(self.to_local(global_ids), tracker)
 
-    def _refine_fetcher(self):
-        """The fetcher ``refine_batch`` hands to ``multistep_knn``.
-
-        With a resilience policy on the spec, each point fetch runs
-        under the shard engine's breaker + bounded retries, so transient
-        disk faults are masked inside the shard (bit-identical results);
-        exhausted retries or an open breaker propagate out of
-        ``refine_batch`` and the executor reports the shard failed —
-        shard-granular degradation is the coordinator's job.
-        """
-        runtime = self.engine.resilience
-        if runtime is None:
-            return self._fetch_global
-
-        def fetch(global_ids, tracker=None):
-            gids = np.atleast_1d(np.asarray(global_ids, dtype=np.int64))
-            rows = [
-                runtime.protected_call(
-                    lambda g=g: self._fetch_global(np.asarray([g]), tracker)
-                )
-                for g in gids.tolist()
-            ]
-            if rows:
-                return np.concatenate(rows, axis=0)
-            return self.points[:0]
-
-        return fetch
-
     # ------------------------------------------------------------------
     def probe_batch(self, queries: np.ndarray, k: int) -> list[tuple]:
         """Round 1: per query, candidate generation + cache bounds.
@@ -329,6 +301,9 @@ class ShardRuntime:
         survivors carrying exact distances (global confirmed seeds are
         stripped — the coordinator merges them exactly once).
         """
+        # Faults the shard's retries cannot mask propagate: the executor
+        # reports the shard failed and the coordinator degrades.
+        fetcher = protected_fetcher(self._fetch_global, self.engine.resilience)
         out = []
         for qi, task in enumerate(tasks):
             ctx, own_hits, own_candidates = self._pending.pop(
@@ -344,7 +319,7 @@ class ShardRuntime:
                         task.remaining_gids,
                         task.remaining_lb,
                         task.k,
-                        fetcher=self._refine_fetcher(),
+                        fetcher=fetcher,
                         confirmed_ids=task.seed_ids,
                         confirmed_ubs=task.seed_ubs,
                         tracker=ctx.refine_tracker,

@@ -203,9 +203,3 @@ class PointFile:
         if tracker is not None:
             tracker.point_fetches += len(ids)
         return self.points[ids]
-
-    def fetch_one(
-        self, point_id: int, tracker: QueryIOTracker | None = None
-    ) -> np.ndarray:
-        """Read one record; returns a ``(d,)`` vector."""
-        return self.fetch(np.asarray([point_id]), tracker)[0]

@@ -282,6 +282,43 @@ class TestSlaDeadlines:
         assert_same_result(ticket.response, engine.search(data["queries"][2], K))
         server.close()
 
+    def test_mid_batch_expiry_does_not_rerun_batchmates(self, data):
+        """A budget that runs out inside the engine degrades only its own
+        request; the on-time batchmate goes through the engine once."""
+        from repro.engine.context import PhaseHook
+
+        clock = ManualClock()
+
+        class SlowGenerate(PhaseHook):
+            runs = 0
+
+            def on_phase_start(self, phase, ctx):
+                if phase == "generate":
+                    SlowGenerate.runs += 1
+                    clock.advance(0.002)
+
+        engine = make_engine(data)
+        engine.hooks += (SlowGenerate(),)
+        config = ServeConfig(
+            max_batch=4,
+            max_wait_us=1000.0,
+            tiers=(SlaTier("open"), SlaTier("tight", deadline_ms=3.0)),
+        )
+        server, _, _ = make_server(
+            data, engine=engine, config=config, clock=clock
+        )
+        on_time = server.submit(data["queries"][0], tier="open")
+        late = server.submit(data["queries"][1], tier="tight")
+        server.drain()
+        assert SlowGenerate.runs == 2
+        assert late.response.degraded
+        assert late.response.result.outcome.reason == "deadline"
+        assert on_time.response.ok and not on_time.response.degraded
+        assert_same_result(
+            on_time.response, make_engine(data).search(data["queries"][0], K)
+        )
+        server.close()
+
     def test_unknown_tier_rejected_loudly(self, data):
         server, _, _ = make_server(data, config=TIERED)
         with pytest.raises(ValueError, match="unknown SLA tier"):
