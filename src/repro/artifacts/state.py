@@ -277,7 +277,18 @@ def restore_cache(meta: dict, arrays: dict, points: np.ndarray | None = None):
                 f"cache store shape {words.shape} does not match the "
                 f"encoder geometry {store._words.shape}"
             )
+        if words.dtype != np.uint64:
+            raise ArtifactError(
+                f"cache store words are {words.dtype}, expected uint64"
+            )
         store._words = _writable(words) if lru else words
+        slot_of = np.asarray(arrays["slot_of"])
+        if slot_of.size and (
+            slot_of.min() < -1 or slot_of.max() >= cache._max_items
+        ):
+            raise ArtifactError(
+                f"cache slot table names slots outside [0, {cache._max_items})"
+            )
         cache._store = store
         cache._slot_of = _writable(arrays["slot_of"]) if lru else arrays["slot_of"]
         cache._id_of_slot = (

@@ -122,3 +122,16 @@ def kth_smallest(values: np.ndarray, k: int) -> float:
     if values.size < k:
         return float("inf")
     return float(np.partition(values, k - 1)[k - 1])
+
+
+def drop_pruned(lower: np.ndarray, upper: np.ndarray, k: int) -> None:
+    """Algorithm 1's early prune, in place: ``lb = ub = inf`` on every row
+    with ``lb > kth_smallest(ub, k)``.
+
+    The k-th smallest lower and upper bounds of the result equal those
+    of the input: a pruned row's bounds both exceed the k-th smallest
+    upper bound, and at least k rows have bounds no larger than it.
+    """
+    pruned = lower > kth_smallest(upper, k)
+    lower[pruned] = np.inf
+    upper[pruned] = np.inf

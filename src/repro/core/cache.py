@@ -24,7 +24,7 @@ import enum
 import numpy as np
 
 from repro.core.bitpack import BitPackedMatrix
-from repro.core.bounds import exact_distances
+from repro.core.bounds import drop_pruned, exact_distances
 from repro.core.encoder import PointEncoder
 from repro.core.kernels import kernel_for
 from repro.obs.telemetry import CacheTelemetry
@@ -72,9 +72,16 @@ class PointCache:
         return self.populate(chosen, points[chosen])
 
     def lookup(
-        self, query: np.ndarray, ids: np.ndarray
+        self, query: np.ndarray, ids: np.ndarray, k: int | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Bounds for candidates: ``(hit_mask, lb, ub)`` aligned with ids."""
+        """Bounds for candidates: ``(hit_mask, lb, ub)`` aligned with ids.
+
+        With ``k``, every row Algorithm 1 prunes (``lb >
+        kth_smallest(ub, k)``) comes back as ``lb = ub = inf`` and every
+        other row carries its exact bounds, so a kernel may stop bounding
+        a row once it is sure to be pruned; ``lb_k``, ``ub_k`` and the
+        reduction of the result are those of the full bounds.
+        """
         raise NotImplementedError
 
     def lookup_batch(
@@ -358,7 +365,7 @@ class ApproximateCache(PointCache):
 
     # ------------------------------------------------------------------
     def lookup(
-        self, query: np.ndarray, ids: np.ndarray
+        self, query: np.ndarray, ids: np.ndarray, k: int | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         ids = _normalize_ids(ids)
         slots = self._slot_of[ids]
@@ -369,11 +376,13 @@ class ApproximateCache(PointCache):
         if np.any(hits):
             query = np.atleast_2d(np.asarray(query, dtype=np.float64))
             lbh, ubh = kernel_for(self.encoder).packed_bounds(
-                query, self._store, slots[hits], self.encoder
+                query, self._store, slots[hits], self.encoder, k
             )
             lb[hits], ub[hits] = lbh[0], ubh[0]
             if self.policy is CachePolicy.LRU:
                 self._touch(ids[hits])
+            if k is not None:
+                drop_pruned(lb, ub, k)
         return hits, lb, ub
 
     def lookup_batch(
@@ -521,7 +530,7 @@ class ExactCache(PointCache):
         return take
 
     def lookup(
-        self, query: np.ndarray, ids: np.ndarray
+        self, query: np.ndarray, ids: np.ndarray, k: int | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         ids = _normalize_ids(ids)
         slots = self._slot_of[ids]
@@ -535,6 +544,8 @@ class ExactCache(PointCache):
             ub[hits] = dist
             if self.policy is CachePolicy.LRU:
                 self._touch(ids[hits])
+            if k is not None:
+                drop_pruned(lb, ub, k)
         return hits, lb, ub
 
     def lookup_batch(
@@ -613,8 +624,9 @@ class NoCache(PointCache):
         return np.zeros(len(_normalize_ids(ids)), dtype=bool)
 
     def lookup(
-        self, query: np.ndarray, ids: np.ndarray
+        self, query: np.ndarray, ids: np.ndarray, k: int | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # Every ub is inf, so no row is pruned whatever ``k`` is.
         ids = _normalize_ids(ids)
         self.telemetry.record_lookup(len(ids), 0)
         return (

@@ -6,11 +6,14 @@ them one query at a time, whether called through
 :meth:`QueryEngine.search` or :meth:`QueryEngine.search_many`.
 
 Phase 2 bounds only the query's own candidates: ``reduce`` calls
-``cache.lookup(query, own_ids)``, and the default native kernel reads
+``cache.lookup(query, own_ids, k)``, and the default native kernel reads
 those codes' packed words directly, so no code is decoded and no
 (query, candidate) pair is bounded for a query that did not generate
-it.  The native kernel also releases the GIL while it runs, so a
-replica pool's threads overlap their probes.  Within a query, Phase 3
+it.  With the query's ``k`` the kernel stops bounding a candidate once
+its partial lower bound exceeds the running k-th upper bound, a
+candidate Algorithm 1 prunes anyway; the reduction is unchanged.  The
+native kernel also releases the GIL while it runs, so a replica pool's
+threads overlap their probes.  Within a query, Phase 3
 fetches in rounds (see :mod:`repro.core.multistep`): each round reads a
 prefix of the lb-sorted candidates that the stopping rule is certain to
 fetch, in one call, instead of one candidate per call.  A deadline or a

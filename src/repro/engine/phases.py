@@ -66,14 +66,16 @@ class ReducePhase:
     ) -> ReductionOutcome:
         """Reduce one query's candidates.
 
-        The cache bounds exactly these candidates for this query.
+        The cache bounds exactly these candidates for this query, and
+        may skip the rest of a candidate's bounds once it is sure to be
+        pruned (``lookup(..., k)``): the reduction is the same.
 
         Args:
             fetcher: the refine I/O call, ``fetch(ids, tracker)``, used
                 by the eager miss fetch (the engine passes
                 :func:`~repro.faults.policy.protected_fetcher`'s result).
         """
-        hits, lb, ub = self.cache.lookup(query, candidate_ids)
+        hits, lb, ub = self.cache.lookup(query, candidate_ids, k)
         if self.eager_miss_fetch and not hits.all():
             # Eager fetches are charged to the refinement tracker: the
             # same pages are read by Phase 3 anyway, and sharing one

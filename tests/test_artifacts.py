@@ -24,6 +24,7 @@ from repro.artifacts.snapshot import (
     save_snapshot,
     verify_snapshot,
 )
+from repro.artifacts.state import cache_state, restore_cache
 from repro.artifacts.store import (
     ObjectStore,
     publish_current,
@@ -201,6 +202,26 @@ class TestSnapshotRoundTrip:
         save_snapshot(tmp_path / "snap", fresh, queries=queries)
         served = load_snapshot(tmp_path / "snap")
         assert_identical_answers(fresh, served, queries)
+
+    def test_cache_words_of_another_dtype_rejected(self, micro_dataset):
+        """The bound kernel reads the words as uint64: a member cast to
+        another dtype (same shape) must not restore."""
+        fresh = build_pipeline(micro_spec("c2lsh", "HC-O"), dataset=micro_dataset)
+        meta, arrays = cache_state(fresh.cache)
+        restore_cache(meta, arrays)
+        arrays["words"] = arrays["words"].astype(np.uint32)
+        with pytest.raises(ArtifactError, match="uint64"):
+            restore_cache(meta, arrays)
+
+    def test_cache_slot_past_capacity_rejected(self, micro_dataset):
+        """A slot past the store would send the bound kernel outside it."""
+        fresh = build_pipeline(micro_spec("c2lsh", "HC-O"), dataset=micro_dataset)
+        meta, arrays = cache_state(fresh.cache)
+        slot_of = np.array(arrays["slot_of"])
+        slot_of[np.flatnonzero(slot_of >= 0)[0]] = len(arrays["id_of_slot"])
+        arrays["slot_of"] = slot_of
+        with pytest.raises(ArtifactError, match="slot"):
+            restore_cache(meta, arrays)
 
     @pytest.mark.parametrize("method", ["NO-CACHE", "HC-D", "iHC-D", "mHC-R"])
     def test_other_methods_round_trip(self, tmp_path, micro_dataset, method):

@@ -11,7 +11,10 @@ running ``ApproximateCache``/``LeafNodeCache`` on the ``decode``,
   ``QueryStats`` (candidates / hits / pruned / confirmed / c_refine /
   I/O counts) from a full ``QueryEngine.search_many`` run are identical;
 * **telemetry** — the cache's cumulative counters agree, because every
-  hit/prune decision fell the same way.
+  hit/prune decision fell the same way;
+* **threshold** — ``lookup(query, ids, k)`` equals ``lookup(query,
+  ids)`` with ``lb = ub = inf`` on every row Algorithm 1 prunes, on every
+  kernel and cache, and its reduction equals the full bounds' one.
 
 The product picks the kernel itself (``kernel_for``), so each run
 forces one through the ``force_kernel`` fixture.  Each cell rebuilds
@@ -28,14 +31,22 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from repro.core.bounds import kth_smallest
 from repro.core.builders import build_equidepth, build_equiwidth
-from repro.core.cache import ApproximateCache, CachePolicy, LeafNodeCache
+from repro.core.cache import (
+    ApproximateCache,
+    CachePolicy,
+    ExactCache,
+    LeafNodeCache,
+    NoCache,
+)
 from repro.core.domain import ValueDomain
 from repro.core.encoder import GlobalHistogramEncoder, IndividualHistogramEncoder
 from repro.core import kernels
 from repro.core.kernels import native_available
 from repro.core.multidim import RTreeBucketEncoder
 from repro.core.pq import PQEncoder
+from repro.core.reduction import reduce_candidates
 from repro.engine.engine import QueryEngine
 from repro.index.idistance import IDistanceIndex
 from repro.index.linear_scan import LinearScanIndex
@@ -151,11 +162,11 @@ def _build_encoder(kind: str, points: np.ndarray):
     raise ValueError(kind)
 
 
-def _build_cache(cell: Cell, data):
+def _build_cache(cell: Cell, data, cache_bytes: int = CACHE_BYTES):
     points = data["points"]
     encoder = _build_encoder(cell.encoder, points)
     policy = CachePolicy.LRU if cell.policy == "lru" else CachePolicy.HFF
-    cache = ApproximateCache(encoder, CACHE_BYTES, len(points), policy)
+    cache = ApproximateCache(encoder, cache_bytes, len(points), policy)
     if policy is CachePolicy.HFF:
         cache.populate_hff(data["frequencies"], points)
     return cache
@@ -171,22 +182,24 @@ def _build_engine(cell: Cell, data):
         freqs = index.leaf_access_frequencies(data["queries"], K)
         cache.populate_by_frequency(freqs, index.leaf_contents)
         return QueryEngine.for_tree(index, cache), cache
+    cache = _build_cache(cell, data)
+    point_file = PointFile(points, disk=SimulatedDisk(DiskConfig()))
+    return QueryEngine.for_index(_build_index(cell, points), point_file, cache), cache
+
+
+def _build_index(cell: Cell, points: np.ndarray):
     if cell.index_name == "linear":
-        index = LinearScanIndex(len(points))
-    elif cell.index_name == "c2lsh":
-        index = C2LSHIndex(
+        return LinearScanIndex(len(points))
+    if cell.index_name == "c2lsh":
+        return C2LSHIndex(
             points,
             params=C2LSHParams(beta=1.0, n_hashes=16),
             seed=0,
             base_radius=calibrate_base_radius(points, seed=0),
         )
-    elif cell.index_name == "vafile":
-        index = VAFileIndex(points, bits=5)
-    else:
-        raise ValueError(cell.index_name)
-    cache = _build_cache(cell, data)
-    point_file = PointFile(points, disk=SimulatedDisk(DiskConfig()))
-    return QueryEngine.for_index(index, point_file, cache), cache
+    if cell.index_name == "vafile":
+        return VAFileIndex(points, bits=5)
+    raise ValueError(cell.index_name)
 
 
 # ----------------------------------------------------------------------
@@ -282,6 +295,151 @@ def test_search_results_kernel_invariant(
             f"{dict(zip(TELEMETRY_FIELDS, got_telemetry))} != "
             f"{dict(zip(TELEMETRY_FIELDS, base_telemetry))}"
         )
+
+
+# ----------------------------------------------------------------------
+# lookup(..., k): the prune mask, applied in or after the kernel
+# ----------------------------------------------------------------------
+def _with_prune_mask(lb, ub, k):
+    """The reference: Algorithm 1's prune rule on the full bounds."""
+    lb, ub = lb.copy(), ub.copy()
+    pruned = lb > kth_smallest(ub, k)
+    lb[pruned] = ub[pruned] = np.inf
+    return lb, ub
+
+
+def _assert_same_reduction(a, b, where: str) -> None:
+    for name in vars(a):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), (
+            f"{where}: reduction.{name} differs"
+        )
+
+
+def _threshold_cases(cache, ids, query):
+    """``(label, ids, k)``: misses mixed in, a tie at ``ub_k``, fewer hits
+    than ``k``, and ``k`` at least the number of candidates."""
+    hits, _, ub = cache.lookup(query, ids)
+    n_hits = int(hits.sum())
+    order = np.argsort(ub, kind="stable")
+    tied = np.concatenate([ids, ids[order[K - 1 : K]]])
+    return (
+        ("mixed-k1", ids, 1),
+        ("mixed", ids, K),
+        ("tie-at-ub_k", tied, K),
+        ("tie-at-ub_k-k+1", tied, K + 1),
+        ("fewer-hits-than-k", ids, n_hits + 1),
+        ("k-above-candidates", ids, len(ids) + 3),
+    )
+
+
+@pytest.mark.parametrize(
+    "cell", [c for c in CELLS if c.index_name != "idistance-leaf"],
+    ids=lambda c: c.name,
+)
+def test_lookup_with_k_is_lookup_plus_prune_mask(
+    cell: Cell, data, force_kernel
+) -> None:
+    rng = np.random.default_rng(SEED + 2)
+    ids = rng.permutation(len(data["points"]))[:90]
+    baseline = {}
+    for kernel in KERNELS:
+        force_kernel(kernel)
+        # A quarter of the default cache, so some candidates miss.
+        cache = _build_cache(cell, data, CACHE_BYTES // 4)
+        for qi, query in enumerate(data["queries"]):
+            for label, cand, k in _threshold_cases(cache, ids, query):
+                where = f"{cell.name} kernel={kernel} query={qi} {label}"
+                hits, lb, ub = cache.lookup(query, cand)
+                got = cache.lookup(query, cand, k)
+                assert np.array_equal(hits, got[0]), where
+                want = _with_prune_mask(lb, ub, k)
+                assert np.array_equal(want[0], got[1]), f"{where}: lb"
+                assert np.array_equal(want[1], got[2]), f"{where}: ub"
+                _assert_same_reduction(
+                    reduce_candidates(cand, hits, lb, ub, k),
+                    reduce_candidates(cand, *got, k),
+                    where,
+                )
+                key = (qi, label)
+                arrays = b"".join(a.tobytes() for a in got)
+                assert baseline.setdefault(key, arrays) == arrays, (
+                    f"{where}: bytes differ from {KERNELS[0]}"
+                )
+        assert not np.all(cache.contains(ids)), cell.name
+
+
+def test_lookup_with_k_keeps_lru_recency(data, force_kernel) -> None:
+    """Dropped rows are still hits: an LRU cache touches the same ids in
+    the same order and counts the same telemetry."""
+    cell = next(c for c in CELLS if c.policy == "lru")
+    points = data["points"]
+    admitted = np.random.default_rng(SEED + 3).permutation(len(points))[:50]
+    ids = np.arange(len(points))[::2]
+    for kernel in KERNELS:
+        force_kernel(kernel)
+        caches = []
+        for k in (None, K):
+            cache = _build_cache(cell, data, CACHE_BYTES // 8)
+            cache.admit(admitted, points[admitted])
+            for query in data["queries"]:
+                cache.lookup(query, ids, k)
+            caches.append(cache)
+        full, pruned = caches
+        assert np.array_equal(full._stamp, pruned._stamp), kernel
+        assert full._clock == pruned._clock, kernel
+        assert full.telemetry == pruned.telemetry, kernel
+
+
+def test_exact_and_no_cache_lookup_with_k(data) -> None:
+    points = data["points"]
+    exact = ExactCache(DIM, 100 * DIM * 4, len(points))
+    exact.populate_hff(data["frequencies"], points)
+    rng = np.random.default_rng(SEED + 4)
+    ids = rng.permutation(len(points))[:90]
+    for cache in (exact, NoCache()):
+        for query in data["queries"]:
+            for label, cand, k in _threshold_cases(cache, ids, query):
+                where = f"{type(cache).__name__} {label}"
+                hits, lb, ub = cache.lookup(query, cand)
+                got = cache.lookup(query, cand, k)
+                want = _with_prune_mask(lb, ub, k)
+                assert np.array_equal(want[0], got[1]), where
+                assert np.array_equal(want[1], got[2]), where
+
+
+@pytest.mark.parametrize(
+    "cell", [CELLS[0], CELLS[5]], ids=lambda c: c.name
+)
+def test_eager_miss_fetch_engine_unchanged_by_k(
+    cell: Cell, data, force_kernel
+) -> None:
+    """Eager miss fetches tighten ``ub_k`` after the kernel pruned
+    against the looser one: answers and ``QueryStats`` still equal an
+    engine whose probe bounds every candidate."""
+    points = data["points"]
+    index = _build_index(cell, points)
+
+    def build(full_bounds: bool):
+        cache = _build_cache(cell, data, CACHE_BYTES // 4)
+        if full_bounds:
+            lookup = cache.lookup
+            cache.lookup = lambda query, ids, k=None: lookup(query, ids)
+        return QueryEngine.for_index(
+            index,
+            PointFile(points, disk=SimulatedDisk(DiskConfig())),
+            cache,
+            eager_miss_fetch=True,
+        )
+
+    for kernel in KERNELS:
+        force_kernel(kernel)
+        want = build(True).search_many(data["queries"], K)
+        got = build(False).search_many(data["queries"], K)
+        for qi, (w, g) in enumerate(zip(want, got)):
+            where = f"{cell.name} kernel={kernel} query={qi}"
+            assert np.array_equal(w.ids, g.ids), where
+            assert np.array_equal(w.distances, g.distances), where
+            assert w.stats == g.stats, where
 
 
 def test_forced_kernel_switches_a_live_cache(data, force_kernel) -> None:

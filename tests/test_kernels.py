@@ -380,9 +380,106 @@ class TestNativeKernel:
                 np.zeros((1, 4)), store, np.array([0]), enc
             )
 
+    def test_threshold_drops_only_pruned_rows(self):
+        """With ``k`` the kernel drops a subset of the rows with ``lb >
+        ub_k`` (as ``inf``) and leaves every other row bit-identical."""
+        rng = np.random.default_rng(SEED + 4)
+        native = kernels_mod._native_kernel()
+        for dim, bits in ((3, 7), (24, 5), (150, 8), (301, 6)):
+            n_buckets = 2**bits if bits <= 4 else 19
+            edges = np.sort(rng.uniform(-50, 50, size=2 * n_buckets))
+            # Bucket 0 is a single value, so rows of code 0 have lb == ub.
+            edges[1] = edges[0]
+            hist = Histogram(lowers=edges[0::2], uppers=edges[1::2])
+            enc = GlobalHistogramEncoder(hist, dim)
+            enc.bits = bits
+            m = 40
+            codes = rng.integers(0, n_buckets, size=(m, dim), dtype=np.int64)
+            codes[:2] = 0  # two equal rows: a tie with lb == ub
+            store = BitPackedMatrix(m, dim, bits)
+            store.set_rows(np.arange(m), codes)
+            query = np.full((1, dim), edges[0])
+            query += rng.normal(0, 1, size=(1, dim))
+            full_lb, full_ub = _TABLE.packed_bounds(query, store, np.arange(m), enc)
+            best_first = np.argsort(full_ub[0], kind="stable")
+            orders = (best_first, best_first[::-1], rng.permutation(m))
+            dropped_any = False
+            for rows in orders:
+                for k in (1, 2, 4, m - 1, m, m + 5):
+                    lb, ub = native.packed_bounds(query, store, rows, enc, k)
+                    want_lb, want_ub = full_lb[0, rows], full_ub[0, rows]
+                    pruned = want_lb > kth_smallest(want_ub, k)
+                    dropped = np.isinf(lb[0])
+                    where = (dim, bits, k)
+                    assert not (dropped & ~pruned).any(), where
+                    assert np.array_equal(np.isinf(ub[0]), dropped), where
+                    assert np.array_equal(lb[0][~dropped], want_lb[~dropped]), where
+                    assert np.array_equal(ub[0][~dropped], want_ub[~dropped]), where
+                    dropped_any |= bool(dropped.any())
+            assert dropped_any, (dim, bits)
+
+    def test_tie_at_the_threshold_is_kept(self):
+        """A row whose lb equals the running k-th ub is not pruned."""
+        native = kernels_mod._native_kernel()
+        hist = Histogram(lowers=np.array([1.0, 5.0]), uppers=np.array([1.0, 6.0]))
+        enc = GlobalHistogramEncoder(hist, 150)
+        store = BitPackedMatrix(3, 150, enc.bits)
+        store.set_rows(np.arange(3), np.array([[0] * 150, [0] * 150, [1] * 150]))
+        query = np.zeros((1, 150))
+        lb, ub = native.packed_bounds(query, store, np.arange(3), enc, 1)
+        assert lb[0, 1] == ub[0, 0] and np.isfinite(lb[0, 1])
+        assert np.isinf(lb[0, 2]) and np.isinf(ub[0, 2])
+
+    @pytest.mark.parametrize(
+        "words",
+        [
+            lambda w: w.astype(np.uint32),
+            np.asfortranarray,
+            lambda w: w[:-1],
+        ],
+        ids=["uint32", "fortran-order", "short"],
+    )
+    def test_packed_words_of_another_layout_are_refused(self, words):
+        """The C loop reads 8-byte words in row-major order: any other
+        layout is refused before its pointer is passed."""
+        native = kernels_mod._native_kernel()
+        hist = Histogram(lowers=np.array([0.0, 2.0]), uppers=np.array([1.0, 3.0]))
+        enc = GlobalHistogramEncoder(hist, 40)
+        store = BitPackedMatrix(4, 40, 4)  # three words per row
+        store.set_rows(np.arange(4), np.ones((4, 40), dtype=np.int64))
+        store._words = words(store._words)
+        assert store.words.shape[1] > 1
+        with pytest.raises(ValueError, match="packed words"):
+            native.packed_bounds(np.zeros((1, 40)), store, np.arange(3), enc)
+
+    def test_slot_past_the_store_is_refused(self):
+        native = kernels_mod._native_kernel()
+        hist = Histogram(lowers=np.array([0.0, 2.0]), uppers=np.array([1.0, 3.0]))
+        enc = GlobalHistogramEncoder(hist, 4)
+        store = BitPackedMatrix(2, 4, 1)
+        for slots in (np.array([0, 2]), np.array([-1, 0])):
+            with pytest.raises(IndexError, match="slot"):
+                native.packed_bounds(np.zeros((1, 4)), store, slots, enc)
+
     def test_self_check_passed(self):
         ok, reason = native_available()
         assert ok and reason is None
+
+    def test_self_check_rejects_a_kernel_dropping_a_kept_row(self, monkeypatch):
+        """A threshold that drops a row with ``lb <= ub_k`` marks the
+        library unavailable."""
+        real = NativeKernel._per_dimension_packed
+
+        def drops_the_nearest(self, queries, store, slots, tables, k=None):
+            lb, ub = real(self, queries, store, slots, tables, k)
+            if k:
+                nearest = np.argmin(lb, axis=1)
+                lb[:, nearest] = ub[:, nearest] = np.inf
+            return lb, ub
+
+        monkeypatch.setattr(NativeKernel, "_per_dimension_packed", drops_the_nearest)
+        with pytest.raises(KernelUnavailableError, match="k=3"):
+            kernels_mod._native_self_check(kernels_mod._compile_native())
 
     def test_self_check_rejects_a_divergent_count_step(self, monkeypatch):
         """A C count that drifts from numpy marks the library unavailable."""

@@ -378,10 +378,10 @@ class _ReduceProbeSpy(PhaseHook):
         self.reduce_queries = []
         lookup = cache.lookup
 
-        def timed_lookup(query, ids):
+        def timed_lookup(query, ids, k=None):
             start = time.perf_counter()
             try:
-                return lookup(query, ids)
+                return lookup(query, ids, k)
             finally:
                 assert self.in_reduce, "cache.lookup ran outside reduce"
                 self.lookups[-1].append(
